@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -87,8 +88,12 @@ class CentralityVector:
         if not np.all(np.isfinite(self.values)):
             raise ValueError(f"non-finite score in {self.metric} vector")
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(len(self.labels))))
+
     def __getitem__(self, label: str) -> float:
-        return float(self.values[self.labels.index(label)])
+        return float(self.values[self._position[label]])
 
     def as_dict(self) -> dict[str, float]:
         return {lab: float(v) for lab, v in zip(self.labels, self.values)}

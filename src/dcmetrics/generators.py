@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, build_graph
+# build_graph is unused here but stays importable as generators.build_graph,
+# the name perfbench/tracer.py wraps
+from .graph import Graph, build_graph, csr_from_arrays  # noqa: F401
 
 __all__ = ["GeneratorParams", "barabasi_albert"]
 
@@ -50,13 +52,13 @@ def barabasi_albert(params: GeneratorParams) -> Graph:
     topo = np.random.default_rng(topo_ss)
     wrng = np.random.default_rng(weight_ss)
 
-    pairs: list[tuple[int, int]] = []
+    # node m + k attaches to dst[k*m : (k+1)*m]
+    dst: list[int] = []
     urn: list[int] = []
     targets = list(range(m))
     source = m
     while True:
-        for t in targets:
-            pairs.append((source, t))
+        dst.extend(targets)
         urn.extend(targets)
         urn.extend([source] * m)
         source += 1
@@ -71,6 +73,7 @@ def barabasi_albert(params: GeneratorParams) -> Graph:
                 chosen.append(candidate)
         targets = chosen
 
-    weights = wrng.integers(params.weight_low, params.weight_high + 1, size=len(pairs))
-    edges = [(str(u), str(v), float(w)) for (u, v), w in zip(pairs, weights)]
-    return build_graph(edges, directed=False, nodes=[str(i) for i in range(n)])
+    weights = wrng.integers(params.weight_low, params.weight_high + 1, size=len(dst))
+    src = np.repeat(np.arange(m, n), m)
+    labels = tuple(map(str, range(n)))
+    return Graph(labels, False, *csr_from_arrays(src, dst, weights, n, directed=False))

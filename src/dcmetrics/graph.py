@@ -4,12 +4,28 @@ A graph is a set of labelled nodes plus positive-weight edges (or arcs).
 Internally the adjacency is stored in CSR form (index pointers, neighbor
 indices, weights) so that metric kernels can run vectorised over numpy
 arrays; node labels are the only identity exposed to callers.
+
+Every graph is built by one array pass, ``csr_from_arrays``: integer
+endpoint and weight arrays in, CSR out, with no per-edge Python.
+``build_graph`` checks and interns labels in front of it, the parsers hand
+it label columns, and the generator passes its integer arrays straight in.
+The build guarantees:
+
+- node order is first appearance (pre-declared nodes, then endpoints,
+  source before target), and each CSR row lists its neighbors in the order
+  their edge first appears in the input;
+- parallel edges are merged by adding their weights in input order, so a
+  merged weight is bitwise the left-to-right float sum of its copies;
+- self-loops are dropped; both cleanups are counted in the BuildReport.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, count
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -62,21 +78,9 @@ class Graph:
         except KeyError:
             raise KeyError(f"unknown node label: {label!r}") from None
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, int]:
-        # lazily built once; object.__setattr__ because the dataclass is frozen
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {label: i for i, label in enumerate(self.nodes)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
-
-    def neighbors(self, label: str) -> Iterator[tuple[str, float]]:
-        """Out-neighbors of a node as (label, weight) pairs, in storage order."""
-        i = self.index_of(label)
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        for k in range(lo, hi):
-            yield self.nodes[self.indices[k]], float(self.weights[k])
+        return dict(zip(self.nodes, range(self.n)))
 
     def weight(self, source: str, target: str) -> float:
         """Weight of the edge/arc source->target, 0.0 when absent."""
@@ -108,17 +112,17 @@ class Graph:
         return frozenset(np.asarray(self.nodes, dtype=object)[self.isolate_mask()])
 
     def edges(self) -> Iterator[Edge]:
-        """Logical edge list: every arc for directed graphs, each undirected
-        edge once (in the orientation it is first stored)."""
-        seen = set()
-        for i in range(self.n):
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                j = int(self.indices[k])
-                if not self.directed:
-                    if (j, i) in seen:
-                        continue
-                    seen.add((i, j))
-                yield self.nodes[i], self.nodes[j], float(self.weights[k])
+        """Logical edge list in storage order: every arc for directed graphs,
+        each undirected edge once, from the row of its lower-indexed endpoint
+        (where it is first stored)."""
+        rows = _entry_rows(self.indptr)
+        keep = slice(None) if self.directed else self.indices > rows
+        label = self.nodes.__getitem__
+        return zip(
+            map(label, rows[keep].tolist()),
+            map(label, self.indices[keep].tolist()),
+            self.weights[keep].tolist(),
+        )
 
     def total_weight(self) -> float:
         """Sum of arc weights; undirected edges are counted once."""
@@ -154,52 +158,93 @@ class DegreeProfile:
         return {lab: float(v) for lab, v in zip(self.labels, s)}
 
 
+class EdgeColumns(NamedTuple):
+    """Edges as parallel columns, the form the edge-list parser collects."""
+
+    sources: Sequence[str]
+    targets: Sequence[str]
+    weights: np.ndarray
+
+
 def build_graph(
-    edges: Iterable[Edge],
+    edges: Iterable[Edge] | EdgeColumns,
     directed: bool = False,
     nodes: Sequence[str] = (),
 ) -> Graph:
-    """Build a graph from (source, target, weight) triples.
+    """Build a graph from (source, target, weight) triples or EdgeColumns.
 
-    Parallel edges are merged by summing their weights; self-loops are
-    dropped (both counted in the build report). Node order is first
-    appearance: pre-declared ``nodes`` first, then edge endpoints. A
-    pre-declared node that no edge touches stays in the graph as an
-    explicit isolate; isolates cannot arise any other way.
+    Checks and interns the labels, then builds the adjacency with
+    ``csr_from_arrays``. Node order is first appearance: pre-declared
+    ``nodes``, then endpoints, source before target; each row lists its
+    neighbors in the order their edge first appears. Parallel edges merge
+    by summing their weights in input order, bit for bit; self-loops are
+    dropped. A node no edge (other than a self-loop) touches stays as an
+    explicit isolate.
 
-    Raises GraphBuildError on an empty edge list, an empty label, or a
-    weight that is not a strictly positive finite number.
+    Raises GraphBuildError, for the earliest offending edge, on an empty
+    label or a weight that is not strictly positive and finite; also on an
+    empty edge list and on parallel edges whose sum is not finite.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    if isinstance(edges, EdgeColumns):
+        sources, targets = edges.sources, edges.targets
+        w = np.asarray(edges.weights, dtype=np.float64)
+    else:
+        edges = list(edges)
+        try:
+            sources, targets, weights = zip(*edges, strict=True) if edges else ((), (), ())
+            w = np.fromiter(map(float, weights), dtype=np.float64, count=len(weights))
+        except (TypeError, ValueError, OverflowError):
+            _raise_first_error(nodes, edges)
+    nodes = tuple(nodes)
+    try:
+        labels, src, dst = _intern(nodes, sources, targets)
+        labels_ok = all(isinstance(label, str) and label for label in labels)
+    except TypeError:  # an unhashable label
+        labels_ok = False
+    if not labels_ok or not np.all((w > 0.0) & (w < np.inf)):
+        _raise_first_error(nodes, zip(sources, targets, w))
+    if not w.size:
+        raise GraphBuildError("empty edge list: a graph needs at least one edge")
+    graph = Graph(labels, directed, *csr_from_arrays(src, dst, w, len(labels), directed))
+    bad = np.flatnonzero(~np.isfinite(graph.weights))
+    if bad.size:
+        k = bad[0]
+        i, j = _entry_rows(graph.indptr)[k], graph.indices[k]
+        raise GraphBuildError(
+            f"parallel edges {graph.nodes[i]!r} -> {graph.nodes[j]!r} "
+            f"merge to a non-finite weight {float(graph.weights[k])!r}"
+        )
+    return graph
 
-    def node_id(label: str) -> int:
-        if not isinstance(label, str) or not label:
-            raise GraphBuildError(f"node labels must be non-empty strings, got {label!r}")
-        i = index.get(label)
-        if i is None:
-            i = len(labels)
-            index[label] = i
-            labels.append(label)
-        return i
 
-    # per-node ordered neighbor -> accumulated weight
-    out_adj: list[dict[int, float]] = []
-    in_adj: list[dict[int, float]] = []
+def _intern(
+    nodes: tuple[str, ...], sources: Sequence[str], targets: Sequence[str]
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Labels in first-appearance order, and the source and target index of
+    every edge. One dict pass: ``setdefault`` stores the position of a
+    label's first appearance and returns it for every later one."""
+    first_seen: dict[str, int] = {}
+    size = len(nodes) + 2 * len(sources)
+    endpoints = chain(nodes, chain.from_iterable(zip(sources, targets)))
+    pos = np.fromiter(map(first_seen.setdefault, endpoints, count()), dtype=np.int64, count=size)
+    dense = np.empty(size, dtype=np.int64)
+    n = len(first_seen)
+    dense[np.fromiter(first_seen.values(), dtype=np.int64, count=n)] = np.arange(n)
+    ids = dense[pos[len(nodes):]]
+    return tuple(first_seen), ids[0::2], ids[1::2]
 
-    def ensure(i: int) -> None:
-        while len(out_adj) <= i:
-            out_adj.append({})
-            in_adj.append({})
 
+def _check_label(label: object) -> None:
+    if not isinstance(label, str) or not label:
+        raise GraphBuildError(f"node labels must be non-empty strings, got {label!r}")
+
+
+def _raise_first_error(nodes: Iterable[object], edges: Iterable[object]) -> NoReturn:
+    """Re-run the input checks one edge at a time, in input order, and raise
+    for the first offence; the array checks only tell that there is one."""
     for label in nodes:
-        node_id(label)
-
-    merged = 0
-    self_loops = 0
-    empty = True
+        _check_label(label)
     for edge in edges:
-        empty = False
         try:
             src, dst, w = edge
         except (TypeError, ValueError):
@@ -207,72 +252,64 @@ def build_graph(
         w = float(w)
         if not np.isfinite(w) or w <= 0.0:
             raise GraphBuildError(f"edge {src!r} -> {dst!r} has non-positive weight {w!r}")
-        i = node_id(src)
-        j = node_id(dst)
-        ensure(max(i, j))
-        if i == j:
-            self_loops += 1
-            continue
-        if directed:
-            if j in out_adj[i]:
-                merged += 1
-                out_adj[i][j] += w
-                in_adj[j][i] += w
-            else:
-                out_adj[i][j] = w
-                in_adj[j][i] = w
-        else:
-            if j in out_adj[i]:
-                merged += 1
-                out_adj[i][j] += w
-                out_adj[j][i] += w
-            else:
-                out_adj[i][j] = w
-                out_adj[j][i] = w
-    if empty:
-        raise GraphBuildError("empty edge list: a graph needs at least one edge")
-    ensure(len(labels) - 1)
+        _check_label(src)
+        _check_label(dst)
+    raise AssertionError("array checks flagged an edge list that passes edge by edge")
 
-    def to_csr(adj: list[dict[int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts = [len(row) for row in adj]
-        indptr = np.zeros(len(adj) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        weights = np.empty(indptr[-1], dtype=np.float64)
-        pos = 0
-        for row in adj:
-            for j, w in row.items():
-                indices[pos] = j
-                weights[pos] = w
-                pos += 1
-        indices.setflags(write=False)
-        weights.setflags(write=False)
-        indptr.setflags(write=False)
-        return indptr, indices, weights
 
-    indptr, indices, weights = to_csr(out_adj)
-    report = BuildReport(merged_edges=merged, self_loops_dropped=self_loops)
+def csr_from_arrays(src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, directed: bool) -> tuple:
+    """Adjacency of nodes 0..n-1 from arrays of edge endpoints and weights,
+    with the guarantees in the module docstring. Returns the Graph fields
+    after ``nodes`` and ``directed``: out-CSR, in-CSR (None when undirected)
+    and build report. Endpoints must lie in 0..n-1 and weights be valid.
+    """
+    u, v, merged, first, report = _merge_parallel(src, dst, w, n, directed)
     if directed:
-        in_indptr, in_indices, in_weights = to_csr(in_adj)
-        return Graph(
-            nodes=tuple(labels),
-            directed=True,
-            indptr=indptr,
-            indices=indices,
-            weights=weights,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
-            in_weights=in_weights,
-            build_report=report,
-        )
-    return Graph(
-        nodes=tuple(labels),
-        directed=False,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-        build_report=report,
-    )
+        return (*_csr_rows((u,), (v,), merged, first, n), *_csr_rows((v,), (u,), merged, first, n), report)
+    # every undirected edge is stored in both endpoint rows
+    return (*_csr_rows((u, v), (v, u), merged, first, n), None, None, None, report)
+
+
+def _merge_parallel(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, directed: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, BuildReport]:
+    """Endpoints (as first seen), merged weight and first position of each
+    distinct pair. ``bincount`` adds in input order, like a sequential
+    ``+=``; a function of its own so its temporaries are freed early."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    keep = src != dst
+    src, dst, w = src[keep], dst[keep], w[keep]
+    key = src * n + dst if directed else np.minimum(src, dst) * n + np.maximum(src, dst)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    merged = np.bincount(inverse, weights=w, minlength=first.size)
+    report = BuildReport(merged_edges=int(key.size - first.size), self_loops_dropped=int(keep.size - key.size))
+    return src[first], dst[first], merged, first, report
+
+
+def _csr_rows(
+    rows: tuple[np.ndarray, ...], cols: tuple[np.ndarray, ...], merged: np.ndarray, first: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only CSR with an entry (rows[k][e], cols[k][e], merged[e]) for
+    each part k and pair e, rows ordered by first position. Positions are
+    unique, so one argsort of row * bound + position is that order (far
+    faster than ``np.lexsort``)."""
+    bound = int(first.max(initial=0)) + 1
+    order = np.argsort(np.concatenate([row * bound + first for row in rows]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sum(np.bincount(row, minlength=n) for row in rows), out=indptr[1:])
+    indices = np.concatenate(cols)[order]
+    order %= max(first.size, 1)  # entry -> pair
+    csr = (indptr, indices, merged[order])
+    for a in csr:
+        a.setflags(write=False)
+    return csr
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every stored CSR entry."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -281,8 +318,7 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     n = indptr.size - 1
     if values.size == 0:
         return np.zeros(n)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    return np.bincount(rows, weights=values, minlength=n)
+    return np.bincount(_entry_rows(indptr), weights=values, minlength=n)
 
 
 def profile(graph: Graph) -> DegreeProfile:
@@ -365,27 +401,32 @@ class ValidationReport:
 
 def is_connected(graph: Graph) -> bool:
     """Weak connectivity: directed arcs are walked in both directions."""
-    n = graph.n
-    if n <= 1:
+    if graph.n <= 1:
         return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    adjacency = [(graph.indptr, graph.indices)]
+    if graph.directed:
+        adjacency.append((graph.in_indptr, graph.in_indices))
+    seen = np.zeros(graph.n, dtype=bool)
     seen[0] = True
-    while stack:
-        i = stack.pop()
-        for k in range(graph.indptr[i], graph.indptr[i + 1]):
-            j = int(graph.indices[k])
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-        if graph.directed:
-            assert graph.in_indptr is not None and graph.in_indices is not None
-            for k in range(graph.in_indptr[i], graph.in_indptr[i + 1]):
-                j = int(graph.in_indices[k])
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
+    slot = np.empty(graph.n, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.concatenate([_gather(indptr, indices, frontier) for indptr, indices in adjacency])
+        new = reached[~seen[reached]]
+        seen[new] = True
+        # keep one copy of each node: of its copies, only the one whose
+        # index won the scattered write reads its own index back
+        slot[new] = np.arange(new.size)
+        frontier = new[slot[new] == np.arange(new.size)]
     return bool(seen.all())
+
+
+def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The neighbor lists of ``rows``, concatenated."""
+    start = indptr[rows]
+    sizes = indptr[rows + 1] - start
+    shift = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+    return indices[shift + np.arange(shift.size)]
 
 
 def validate(graph: Graph) -> ValidationReport:

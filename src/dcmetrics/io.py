@@ -16,9 +16,11 @@ import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distinctiveness import CentralityVector
 from .errors import ParseError
-from .graph import Graph, build_graph
+from .graph import EdgeColumns, Graph, build_graph
 
 __all__ = [
     "parse_edge_list",
@@ -33,37 +35,37 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format above into a Graph."""
     directed = False
     first_data_line = True
-    edges: list[tuple[str, str, float]] = []
+    sources: list[str] = []
+    targets: list[str] = []
+    weights: list[float] = []
     declared: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
         fields = line.split("\t")
+        count = len(fields)
         if first_data_line:
             first_data_line = False
-            if len(fields) == 1:
-                if line.strip() in ("directed", "undirected"):
-                    directed = line.strip() == "directed"
+            if count == 1:
+                if stripped in ("directed", "undirected"):
+                    directed = stripped == "directed"
                     continue
                 raise ParseError(
-                    f"unknown directive {line.strip()!r}: the first line must be "
+                    f"unknown directive {stripped!r}: the first line must be "
                     f"'directed', 'undirected', or an edge",
                     lineno,
                 )
-        if len(fields) == 1:
+        if count == 1:
             # single field after the first line: an isolated-node declaration
-            label = fields[0].strip()
-            if not label:
-                raise ParseError("empty node label", lineno)
-            declared.append(label)
+            declared.append(stripped)
             continue
-        if len(fields) not in (2, 3):
-            raise ParseError(f"expected 1-3 tab-separated fields, got {len(fields)}", lineno)
+        if count not in (2, 3):
+            raise ParseError(f"expected 1-3 tab-separated fields, got {count}", lineno)
         src, dst = fields[0].strip(), fields[1].strip()
         if not src or not dst:
             raise ParseError("empty node label", lineno)
-        if len(fields) == 3:
+        if count == 3:
             try:
                 w = float(fields[2])
             except ValueError:
@@ -72,10 +74,14 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"weight must be positive, got {fields[2]}", lineno)
         else:
             w = 1.0
-        edges.append((src, dst, w))
-    if not edges and not declared:
+        sources.append(src)
+        targets.append(dst)
+        weights.append(w)
+    if not sources and not declared:
         raise ParseError("document contains no edges")
-    return build_graph(edges, directed=directed, nodes=declared)
+    columns = EdgeColumns(sources, targets, np.array(weights, dtype=np.float64))
+    del weights  # frees the float objects before the build's peak
+    return build_graph(columns, directed=directed, nodes=declared)
 
 
 def write_edge_list(graph: Graph) -> str:

@@ -4,6 +4,7 @@ correlation-vs-alpha ensemble sweep."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +47,17 @@ class RankVector:
     labels: tuple[str, ...]
     ranks: np.ndarray
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(len(self.labels))))
+
     def __getitem__(self, label: str) -> float:
-        r = self.ranks[self.labels.index(label)]
+        r = self.ranks[self._position[label]]
         return int(r) if self.tie_rule == "competition" else float(r)
 
     def as_dict(self) -> dict[str, float]:
-        return {lab: self[lab] for lab in self.labels}
+        cast = int if self.tie_rule == "competition" else float
+        return dict(zip(self.labels, map(cast, self.ranks.tolist())))
 
 
 def _rank_array(values: np.ndarray, tie_rule: str) -> np.ndarray:

@@ -9,6 +9,99 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
+from dcmetrics import BuildReport, Graph, GraphBuildError
+
+
+def naive_build_graph(edges, directed=False, nodes=()):
+    """Reference graph build: edge by edge into per-node insertion-ordered
+    dicts, parallel weights merged with ``+=``, then copied into CSR. The
+    array build in dcmetrics.graph must match it bit for bit, errors included."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+
+    def node_id(label):
+        if not isinstance(label, str) or not label:
+            raise GraphBuildError(f"node labels must be non-empty strings, got {label!r}")
+        if label not in index:
+            index[label] = len(labels)
+            labels.append(label)
+        return index[label]
+
+    for label in nodes:
+        node_id(label)
+    out_adj: dict[int, dict[int, float]] = {}
+    in_adj: dict[int, dict[int, float]] = {}
+    merged = self_loops = 0
+    empty = True
+    for edge in edges:
+        empty = False
+        try:
+            src, dst, w = edge
+        except (TypeError, ValueError):
+            raise GraphBuildError(f"edges must be (source, target, weight) triples, got {edge!r}")
+        w = float(w)
+        if not np.isfinite(w) or w <= 0.0:
+            raise GraphBuildError(f"edge {src!r} -> {dst!r} has non-positive weight {w!r}")
+        i, j = node_id(src), node_id(dst)
+        if i == j:
+            self_loops += 1
+            continue
+        arcs = [(out_adj, i, j), (in_adj, j, i)] if directed else [(out_adj, i, j), (out_adj, j, i)]
+        if j in out_adj.get(i, {}):
+            merged += 1
+        for adj, a, b in arcs:
+            row = adj.setdefault(a, {})
+            row[b] = row.get(b, 0.0) + w
+    if empty:
+        raise GraphBuildError("empty edge list: a graph needs at least one edge")
+
+    def to_csr(adj):
+        rows = [adj.get(i, {}) for i in range(len(labels))]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.array([j for row in rows for j in row], dtype=np.int64)
+        weights = np.array([w for row in rows for w in row.values()], dtype=np.float64)
+        return indptr, indices, weights
+
+    inn = to_csr(in_adj) if directed else (None, None, None)
+    return Graph(tuple(labels), directed, *to_csr(out_adj), *inn,
+                 build_report=BuildReport(merged_edges=merged, self_loops_dropped=self_loops))
+
+
+def naive_edges(graph):
+    """Logical edges by walking the rows and skipping each undirected edge's
+    second copy."""
+    seen = set()
+    for i in range(graph.n):
+        for k in range(graph.indptr[i], graph.indptr[i + 1]):
+            j = int(graph.indices[k])
+            if not graph.directed:
+                if (j, i) in seen:
+                    continue
+                seen.add((i, j))
+            yield graph.nodes[i], graph.nodes[j], float(graph.weights[k])
+
+
+def naive_is_connected(graph):
+    """Weak connectivity by depth-first search over out- and in-arcs."""
+    if graph.n <= 1:
+        return True
+    neighbors = {i: set() for i in range(graph.n)}
+    for i in range(graph.n):
+        for k in range(graph.indptr[i], graph.indptr[i + 1]):
+            j = int(graph.indices[k])
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for j in neighbors[stack.pop()] - seen:
+            seen.add(j)
+            stack.append(j)
+    return len(seen) == graph.n
+
 
 def _adjacency(nodes, edges, directed):
     out = {u: {} for u in nodes}

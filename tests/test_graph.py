@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dcmetrics import GraphBuildError, build_graph, profile, validate
+from dcmetrics import GraphBuildError, ParseError, build_graph, is_connected, parse_edge_list, profile, validate
 from conftest import random_graph
+from naive import naive_build_graph, naive_edges, naive_is_connected
 
 
 class TestBuild:
@@ -145,3 +146,165 @@ class TestValidate:
         g = build_graph([("A", "B", 1)], nodes=["Z"])
         report = validate(g)
         assert report.isolated_nodes == ("Z",)
+
+
+def _outcome(build, *args, **kwargs):
+    """(exception type, message) of a build that must fail."""
+    try:
+        build(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the comparison
+        return type(exc), str(exc)
+    raise AssertionError("build did not fail")
+
+
+def _assert_same_graph(g, ref):
+    assert g.nodes == ref.nodes
+    assert g.directed == ref.directed
+    assert g.build_report == ref.build_report
+    for name in ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights"):
+        a, b = getattr(g, name), getattr(ref, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # bitwise, so that -0.0/0.0 or a last-bit difference in a merged weight fails
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+# weights of one pair repeated in every random edge list: non-dyadic, so
+# their float sum depends on the order they are added in
+REPEATED = [0.1, 0.7, 0.2, 0.3, 0.1, 0.7, 0.6, 0.1, 0.9, 0.7, 0.3, 0.1]
+
+
+def _random_edge_list(rng, directed):
+    """Edges over a small label pool: random orientation, duplicates,
+    self-loops, non-dyadic weights, pre-declared isolates, and one pair
+    repeated at least 10 times whose merged weight depends on summation order."""
+    pool = [f"v{i}" for i in range(int(rng.integers(2, 25)))]
+    weights = np.array([0.1, 0.7, 0.3, 1.1, 2.9, 0.2, 5.0, 1e-3, 3.3])
+    edges = []
+    for _ in range(int(rng.integers(1, 80))):
+        u, v = rng.choice(pool, size=2)
+        edges.append((str(u), str(v), float(rng.choice(weights) * rng.integers(1, 4))))
+    a, b = pool[0], pool[-1]
+    for w in REPEATED:
+        pair = (a, b) if directed or rng.random() < 0.5 else (b, a)
+        edges.insert(int(rng.integers(0, len(edges) + 1)), (*pair, w))
+    declared = ["isolated"] + [str(x) for x in rng.choice(pool, size=int(rng.integers(0, 4)))]
+    rng.shuffle(declared)
+    return edges, declared
+
+
+class TestArrayBuildMatchesReference:
+    """The array build against the edge-by-edge dict build in tests/naive.py."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_bitwise_equal_on_random_edge_lists(self, directed):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            edges, declared = _random_edge_list(rng, directed)
+            g = build_graph(edges, directed=directed, nodes=declared)
+            _assert_same_graph(g, naive_build_graph(edges, directed=directed, nodes=declared))
+            assert g.isolates() >= {"isolated"}
+
+    def test_repeated_pair_is_order_sensitive(self):
+        # guards the fixture above: a different summation order of the
+        # repeated pair's weights gives different bits, so the bitwise
+        # comparison would catch a build that merged in another order
+        in_order = 0.0
+        for w in REPEATED:
+            in_order += w
+        assert in_order != sum(sorted(REPEATED))
+        assert in_order != float(np.sum(REPEATED))
+        g = build_graph([("A", "B", w) for w in REPEATED])
+        assert g.weight("A", "B") == in_order
+
+    def test_parsed_edge_list_matches_reference(self):
+        rng = np.random.default_rng(5)
+        edges, declared = _random_edge_list(rng, directed=False)
+        text = "\n".join(["undirected", *declared, *(f"{u}\t{v}\t{w!r}" for u, v, w in edges)])
+        _assert_same_graph(parse_edge_list(text), naive_build_graph(edges, nodes=declared))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edges_and_connectivity_match_loops(self, directed):
+        rng = np.random.default_rng(99)
+        seen = set()
+        for _ in range(40):
+            edges, declared = _random_edge_list(rng, directed)
+            g = build_graph(edges, directed=directed, nodes=declared)
+            assert list(g.edges()) == list(naive_edges(g))
+            assert not is_connected(g)  # the declared isolate
+            # connected or not, depending on which labels the edges reached
+            h = build_graph(edges, directed=directed)
+            assert list(h.edges()) == list(naive_edges(h))
+            assert is_connected(h) == naive_is_connected(h)
+            seen.add(is_connected(h))
+        assert seen == {False, True}
+
+    def test_connectivity_follows_arcs_both_ways(self):
+        # every arc points into the hub: only the in-adjacency reaches the leaves
+        g = build_graph([(f"leaf{i}", "hub", 1) for i in range(5)], directed=True)
+        assert is_connected(g)
+        g = build_graph([("A", "B", 1), ("C", "B", 1), ("D", "E", 1)], directed=True)
+        assert not is_connected(g)
+        long_path = [(str(i), str(i + 1), 1) for i in range(300)]
+        assert is_connected(build_graph(long_path))
+        assert not is_connected(build_graph(long_path + [("x", "y", 1)]))
+
+
+class TestBuildErrors:
+    def test_merged_weight_overflow_names_the_pair(self):
+        with pytest.raises(GraphBuildError, match="'A' -> 'B'.*non-finite weight inf"):
+            build_graph([("A", "B", 1e308), ("C", "A", 1.0), ("A", "B", 1e308)])
+        with pytest.raises(GraphBuildError, match="'B' -> 'C'"):
+            build_graph([("A", "B", 1.0), ("B", "C", 1e308), ("C", "B", 1e308)], directed=False)
+        with pytest.raises(GraphBuildError, match="'A' -> 'B'.*non-finite"):
+            parse_edge_list("A\tB\t1e308\nA\tB\t1e308\n")
+        # reciprocal arcs are distinct arcs, so nothing merges
+        g = build_graph([("A", "B", 1e308), ("B", "A", 1e308)], directed=True)
+        assert g.weight("A", "B") == 1e308
+
+    @pytest.mark.parametrize(
+        "edges, nodes",
+        [
+            ([("A", "B", 1), ("C", "D", -1), ("", "E", 1)], ()),
+            ([("A", "B", 1), ("", "E", 1), ("C", "D", -1)], ()),
+            ([("A", "", 0.0)], ()),
+            ([("A", "B", float("nan")), ("A", 7, 1)], ()),
+            ([("A", 7, 1), ("A", "B", float("inf"))], ()),
+            ([("A", "B", 1), (["unhashable"], "B", 1), ("C", "D", 0)], ()),
+            ([("A", "B", 1), ("C", "D", 1, "extra"), ("", "B", 1)], ()),
+            ([("A", "B", 1), ("C", "D"), ("E", "F", 1)], ()),
+            ([("A", "B", 1), 5], ()),
+            ([("A", "B", "heavy"), ("", "B", 1)], ()),
+            ([("", "B", 1), ("A", "B", "heavy")], ()),
+            ([("A", "B", 10**400)], ()),
+            ([("A", "B", 1), ("C", "D", -2)], ["X", ""]),
+            ([], [""]),
+            ([], ["A"]),
+            ((e for e in [("A", "B", 1), ("B", "C", 0)]), ()),
+        ],
+    )
+    def test_same_error_as_reference(self, edges, nodes):
+        edges = list(edges)
+        assert _outcome(build_graph, edges, nodes=nodes) == _outcome(naive_build_graph, edges, nodes=nodes)
+
+    def test_earliest_offending_edge_is_reported(self):
+        with pytest.raises(GraphBuildError, match=r"^edge 'C' -> 'D' has non-positive weight -1.0$"):
+            build_graph([("A", "B", 1), ("C", "D", -1), ("", "E", 1)])
+        with pytest.raises(GraphBuildError, match=r"^node labels must be non-empty strings, got ''$"):
+            build_graph([("A", "B", 1), ("", "E", 1), ("C", "D", -1)])
+
+    def test_parser_reports_earliest_line(self):
+        bad_weight_first = "undirected\nA\tB\t1\nC\tD\t-1\nE\tF\t2\n\tG\t1\n"
+        with pytest.raises(ParseError, match=r"^line 3: weight must be positive, got -1$"):
+            parse_edge_list(bad_weight_first)
+        empty_label_first = "undirected\nA\tB\t1\n\tG\t1\nE\tF\t2\nC\tD\t-1\n"
+        with pytest.raises(ParseError, match=r"^line 3: empty node label$"):
+            parse_edge_list(empty_label_first)
+        # an infinite weight passes the line checks and fails in the build,
+        # so a later empty label is still reported first, with its line
+        with pytest.raises(ParseError, match=r"^line 3: empty node label$"):
+            parse_edge_list("A\tB\t1\nC\tD\tinf\n\tG\t1\n")
+        with pytest.raises(GraphBuildError, match=r"^edge 'C' -> 'D' has non-positive weight inf$"):
+            parse_edge_list("A\tB\t1\nC\tD\tinf\n")

@@ -55,6 +55,19 @@ class TestRank:
         with pytest.raises(ValueError):
             rank(vec({"A": 1.0, "B": 2.0}), "dense")
 
+    @pytest.mark.parametrize("rule, kind", [("competition", int), ("average", float)])
+    def test_lookup_by_label(self, rule, kind):
+        v = vec(dict(zip("ABCDEF", [2, 4, 2, 2, 1, 1])))
+        r = rank(v, rule)
+        ranks = r.as_dict()
+        assert list(ranks) == list("ABCDEF")
+        assert all(type(x) is kind and x == r[label] for label, x in ranks.items())
+        assert [v[label] for label in "ABCDEF"] == [2, 4, 2, 2, 1, 1]
+        with pytest.raises(KeyError):
+            r["Z"]
+        with pytest.raises(KeyError):
+            v["Z"]
+
 
 class TestSpearman:
     def test_identity(self, toy):
