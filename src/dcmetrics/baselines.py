@@ -13,11 +13,20 @@ reproduces computed their "weighted" closeness/betweenness columns on hop
 counts (the weighted and unweighted columns there are numerically
 identical), so table-reproduction tests compare those columns against the
 unweighted mode.
+
+The path-based metrics copy the CSR once into per-node Python lists of
+neighbours and arc lengths, then run one search per source over them:
+breadth-first when unweighted, Dijkstra with a binary heap when weighted.
+Their visit order, their sigma/delta accumulation order and the weighted
+tie rule (float path lengths compared with ``==``) are fixed, so results
+are reproducible bit for bit; ``tests/naive.py`` keeps a CSR-indexing
+version of each loop that they must match exactly.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 import numpy as np
@@ -68,25 +77,15 @@ def degree_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
     return _vector(graph, "degree", weighted, values)
 
 
-def _edge_lengths(graph: Graph, weighted: bool) -> np.ndarray:
-    return 1.0 / graph.weights if weighted else np.ones_like(graph.weights)
-
-
-def _dijkstra_distances(graph: Graph, lengths: np.ndarray, source: int) -> np.ndarray:
-    dist = np.full(graph.n, np.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d > dist[i]:
-            continue
-        for k in range(graph.indptr[i], graph.indptr[i + 1]):
-            j = int(graph.indices[k])
-            nd = d + lengths[k]
-            if nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-    return dist
+def _adjacency_lists(graph: Graph) -> tuple[list[list[int]], list[list[float]]]:
+    """Per-node neighbour lists and, alongside, their arc lengths 1/weight,
+    in CSR order, as plain Python ints and floats: the path loops below
+    index them many times per node, which numpy scalars make slow."""
+    bounds = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    lengths = (1.0 / graph.weights).tolist()
+    rows = list(zip(bounds[:-1], bounds[1:]))
+    return [indices[lo:hi] for lo, hi in rows], [lengths[lo:hi] for lo, hi in rows]
 
 
 def closeness_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
@@ -94,10 +93,32 @@ def closeness_centrality(graph: Graph, weighted: bool = False) -> CentralityVect
     paths over arc lengths 1/weight. Rejects disconnected graphs."""
     _require_undirected(graph, "closeness centrality")
     n = graph.n
-    lengths = _edge_lengths(graph, weighted)
+    nbrs, lengths = _adjacency_lists(graph)
     values = np.empty(n)
     for s in range(n):
-        dist = _dijkstra_distances(graph, lengths, s)
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        if weighted:
+            heap = [(0.0, s)]
+            while heap:
+                d, i = heapq.heappop(heap)
+                if d > dist[i]:
+                    continue
+                for j, length in zip(nbrs[i], lengths[i]):
+                    nd = d + length
+                    if nd < dist[j]:
+                        dist[j] = nd
+                        heapq.heappush(heap, (nd, j))
+        else:
+            queue = deque([s])
+            while queue:
+                i = queue.popleft()
+                nd = dist[i] + 1.0
+                for j in nbrs[i]:
+                    if dist[j] == math.inf:
+                        dist[j] = nd
+                        queue.append(j)
+        dist = np.array(dist)
         unreachable = np.nonzero(np.isinf(dist))[0]
         if unreachable.size:
             raise DisconnectedGraphError(
@@ -113,18 +134,17 @@ def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVe
     accumulation; weighted mode uses arc lengths 1/weight."""
     _require_undirected(graph, "betweenness centrality")
     n = graph.n
-    indptr, indices = graph.indptr, graph.indices
-    lengths = _edge_lengths(graph, weighted)
-    score = np.zeros(n)
+    nbrs, lengths = _adjacency_lists(graph)
+    score = [0.0] * n
     for s in range(n):
         preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
+        sigma = [0.0] * n
         sigma[s] = 1.0
-        dist = np.full(n, np.inf)
+        dist = [math.inf] * n
         dist[s] = 0.0
         order: list[int] = []
         if weighted:
-            seen = np.zeros(n, dtype=bool)
+            seen = [False] * n
             heap = [(0.0, s)]
             while heap:
                 d, i = heapq.heappop(heap)
@@ -132,9 +152,8 @@ def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVe
                     continue
                 seen[i] = True
                 order.append(i)
-                for k in range(indptr[i], indptr[i + 1]):
-                    j = int(indices[k])
-                    nd = d + lengths[k]
+                for j, length in zip(nbrs[i], lengths[i]):
+                    nd = d + length
                     if nd < dist[j]:
                         dist[j] = nd
                         heapq.heappush(heap, (nd, j))
@@ -148,22 +167,22 @@ def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVe
             while queue:
                 i = queue.popleft()
                 order.append(i)
-                for k in range(indptr[i], indptr[i + 1]):
-                    j = int(indices[k])
-                    if np.isinf(dist[j]):
-                        dist[j] = dist[i] + 1
+                nd = dist[i] + 1.0
+                for j in nbrs[i]:
+                    if dist[j] == math.inf:
+                        dist[j] = nd
                         queue.append(j)
-                    if dist[j] == dist[i] + 1:
+                    if dist[j] == nd:
                         sigma[j] += sigma[i]
                         preds[j].append(i)
-        delta = np.zeros(n)
+        delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 score[w] += delta[w]
     # each unordered pair was accumulated from both endpoints
-    return _vector(graph, "betweenness", weighted, score / 2.0)
+    return _vector(graph, "betweenness", weighted, np.array(score) / 2.0)
 
 
 def eigenvector_centrality(

@@ -250,8 +250,9 @@ def _raise_first_error(nodes: Iterable[object], edges: Iterable[object]) -> NoRe
         except (TypeError, ValueError):
             raise GraphBuildError(f"edges must be (source, target, weight) triples, got {edge!r}")
         w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
-            raise GraphBuildError(f"edge {src!r} -> {dst!r} has non-positive weight {w!r}")
+        if not 0.0 < w < np.inf:
+            kind = "non-positive" if np.isfinite(w) else "non-finite"
+            raise GraphBuildError(f"edge {src!r} -> {dst!r} has {kind} weight {w!r}")
         _check_label(src)
         _check_label(dst)
     raise AssertionError("array checks flagged an edge list that passes edge by edge")

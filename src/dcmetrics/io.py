@@ -12,6 +12,7 @@ Edge-list format (UTF-8, LF, '.' decimal point regardless of locale):
 from __future__ import annotations
 
 import json
+import math
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -70,8 +71,9 @@ def parse_edge_list(text: str) -> Graph:
                 w = float(fields[2])
             except ValueError:
                 raise ParseError(f"bad weight {fields[2]!r}", lineno) from None
-            if not w > 0:
-                raise ParseError(f"weight must be positive, got {fields[2]}", lineno)
+            if not 0.0 < w < math.inf:
+                rule = "positive" if math.isfinite(w) else "finite"
+                raise ParseError(f"weight must be {rule}, got {fields[2]}", lineno)
         else:
             w = 1.0
         sources.append(src)

@@ -62,22 +62,26 @@ class RankVector:
 
 def _rank_array(values: np.ndarray, tie_rule: str) -> np.ndarray:
     """Descending ranks; ties share the minimum rank (competition) or the
-    average of their positions. Tie detection is exact float equality."""
+    average of their positions. Tie detection is exact float equality.
+
+    One stable sort by descending score; a run of ties starts wherever a
+    sorted value differs from its predecessor, at 0-based position
+    ``start``, and ends before the next start. Its members rank
+    ``start + 1`` (competition, int64) or ``(start + end + 1) / 2``
+    (average, float64).
+    """
     n = values.size
     order = np.argsort(-values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    pos = 0
-    while pos < n:
-        end = pos
-        v = values[order[pos]]
-        while end < n and values[order[end]] == v:
-            end += 1
-        if tie_rule == "competition":
-            ranks[order[pos:end]] = pos + 1
-        else:
-            ranks[order[pos:end]] = (pos + end + 1) / 2.0
-        pos = end
-    return ranks.astype(np.int64) if tie_rule == "competition" else ranks
+    s = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], n)
+    if tie_rule == "competition":
+        run_rank, dtype = starts + 1, np.int64
+    else:
+        run_rank, dtype = (starts + ends + 1) / 2.0, np.float64
+    ranks = np.empty(n, dtype=dtype)
+    ranks[order] = np.repeat(run_rank, ends - starts)
+    return ranks
 
 
 def rank(vector: CentralityVector, tie_rule: str = "competition") -> RankVector:
@@ -92,29 +96,45 @@ def rank(vector: CentralityVector, tie_rule: str = "competition") -> RankVector:
     )
 
 
-def _spearman_arrays(x: np.ndarray, y: np.ndarray) -> float:
-    rx = _rank_array(x, "average")
-    ry = _rank_array(y, "average")
-    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
+@dataclass(frozen=True, eq=False)
+class _Ranked:
+    """Average-tie ranks of one score vector, with the terms of the Spearman
+    formula that depend on that vector alone, so that a vector paired with
+    many others is ranked once."""
+
+    ranks: np.ndarray
+    reversed: np.ndarray  # n + 1 - ranks: equal to another's ranks on perfect reversal
+    dev: np.ndarray  # ranks - mean rank
+    sum_sq: float  # sum(dev * dev)
+    constant: bool
+
+
+def _ranked(values: np.ndarray) -> _Ranked:
+    if values.size < 3:
+        raise ValueError("spearman needs at least 3 nodes")
+    r = _rank_array(np.asarray(values, dtype=np.float64), "average")
+    dev = r - r.mean()
+    return _Ranked(r, r.size + 1.0 - r, dev, float(np.sum(dev * dev)), bool(np.ptp(r) == 0.0))
+
+
+def _rho(x: _Ranked, y: _Ranked) -> float:
+    if x.constant or y.constant:
         raise ValueError("rank correlation is undefined for constant scores")
     # perfect agreement/reversal detected exactly on the ranks
-    if np.array_equal(rx, ry):
+    if np.array_equal(x.ranks, y.ranks):
         return 1.0
-    if np.array_equal(rx, rx.size + 1.0 - ry):
+    if np.array_equal(x.ranks, y.reversed):
         return -1.0
     # Pearson on the ranks, written so that swapping x and y is bitwise
     # neutral (elementwise products commute, the summation order is fixed)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    cov = float(np.sum(dx * dy))
-    denom = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
+    cov = float(np.sum(x.dev * y.dev))
+    denom = float(np.sqrt(x.sum_sq * y.sum_sq))
     return max(-1.0, min(1.0, cov / denom))
 
 
 def spearman(x: CentralityVector, y: CentralityVector) -> float:
     """Spearman rank correlation: Pearson correlation of average-tie ranks."""
-    if x.values.size < 3:
-        raise ValueError("spearman needs at least 3 nodes")
+    rx = _ranked(x.values)
     if x.labels == y.labels:
         yv = y.values
     elif set(x.labels) == set(y.labels):
@@ -122,7 +142,7 @@ def spearman(x: CentralityVector, y: CentralityVector) -> float:
         yv = y.values[[idx[lab] for lab in x.labels]]
     else:
         raise ValueError("spearman inputs must score the same node set")
-    return _spearman_arrays(np.asarray(x.values, float), np.asarray(yv, float))
+    return _rho(rx, _ranked(yv))
 
 
 def _baseline_key(metric: str, weighted: bool) -> str:
@@ -183,14 +203,17 @@ def correlation_sweep(
 
     for g in range(ensemble_size):
         graph = barabasi_albert(replace(params, seed=int(graph_seeds[g])))
-        base_vectors = {
-            _baseline_key(m, w): baseline(graph, m, weighted=w) for m, w in SWEEP_BASELINES
+        # every vector scores graph.nodes in order, so each is ranked once
+        # and paired by position (what spearman does for equal labels)
+        base_ranked = {
+            _baseline_key(m, w): _ranked(baseline(graph, m, weighted=w).values) for m, w in SWEEP_BASELINES
         }
         for a in alphas:
             dc_vectors = all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
             for d in dc_metrics:
+                dc_ranked = _ranked(dc_vectors[d].values)
                 for b in keys:
-                    rho = spearman(dc_vectors[d], base_vectors[b])
+                    rho = _rho(dc_ranked, base_ranked[b])
                     sums[(d, b, a)] += rho
                     if abs(rho) >= 1.0 - 1e-12:
                         overlaps.append((g, d, b, a, rho))

@@ -1,17 +1,22 @@
 """Naive direct-from-definition evaluators used as oracles.
 
-Everything here works on plain dicts and math.log10, independently of the
-package's CSR/numpy kernels: same formulas, different code path.
+Most of these work on plain dicts and math.log10, independently of the
+package's CSR/numpy kernels: same formulas, different code path. The
+``naive_*`` functions marked as bitwise references keep an earlier, plainer
+implementation of a package function, whose outputs the package must still
+match bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
-from dcmetrics import BuildReport, Graph, GraphBuildError
+from dcmetrics import BuildReport, DisconnectedGraphError, Graph, GraphBuildError
 
 
 def naive_build_graph(edges, directed=False, nodes=()):
@@ -42,7 +47,9 @@ def naive_build_graph(edges, directed=False, nodes=()):
         except (TypeError, ValueError):
             raise GraphBuildError(f"edges must be (source, target, weight) triples, got {edge!r}")
         w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
+        if not np.isfinite(w):
+            raise GraphBuildError(f"edge {src!r} -> {dst!r} has non-finite weight {w!r}")
+        if w <= 0.0:
             raise GraphBuildError(f"edge {src!r} -> {dst!r} has non-positive weight {w!r}")
         i, j = node_id(src), node_id(dst)
         if i == j:
@@ -236,3 +243,132 @@ def naive_spearman(xs, ys):
     vx = math.sqrt(sum((a - mx) ** 2 for a in rx))
     vy = math.sqrt(sum((b - my) ** 2 for b in ry))
     return cov / (vx * vy)
+
+
+def naive_rank_array(values, tie_rule):
+    """Bitwise reference for ``stats._rank_array``: walk the descending
+    stable order and extend each run while values equal its first value."""
+    n = values.size
+    order = np.argsort(-values, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    pos = 0
+    while pos < n:
+        end = pos
+        v = values[order[pos]]
+        while end < n and values[order[end]] == v:
+            end += 1
+        if tie_rule == "competition":
+            ranks[order[pos:end]] = pos + 1
+        else:
+            ranks[order[pos:end]] = (pos + end + 1) / 2.0
+        pos = end
+    return ranks.astype(np.int64) if tie_rule == "competition" else ranks
+
+
+def naive_pairwise_spearman(x, y):
+    """Bitwise reference for the sweep's Spearman: both vectors ranked again
+    for every pair, then the package's exact-match and Pearson steps."""
+    rx = naive_rank_array(x, "average")
+    ry = naive_rank_array(y, "average")
+    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
+        raise ValueError("rank correlation is undefined for constant scores")
+    if np.array_equal(rx, ry):
+        return 1.0
+    if np.array_equal(rx, rx.size + 1.0 - ry):
+        return -1.0
+    dx = rx - rx.mean()
+    dy = ry - ry.mean()
+    cov = float(np.sum(dx * dy))
+    denom = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
+    return max(-1.0, min(1.0, cov / denom))
+
+
+def _csr_lengths(graph, weighted):
+    return 1.0 / graph.weights if weighted else np.ones_like(graph.weights)
+
+
+def naive_dijkstra_closeness(graph, weighted=False):
+    """Bitwise reference for ``closeness_centrality``: one Dijkstra per
+    source, indexing the CSR arrays directly, in both modes."""
+    n = graph.n
+    lengths = _csr_lengths(graph, weighted)
+    values = np.empty(n)
+    for s in range(n):
+        dist = np.full(n, np.inf)
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for k in range(graph.indptr[i], graph.indptr[i + 1]):
+                j = int(graph.indices[k])
+                nd = d + lengths[k]
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+        unreachable = np.nonzero(np.isinf(dist))[0]
+        if unreachable.size:
+            raise DisconnectedGraphError(
+                f"closeness needs a connected graph: no path from "
+                f"{graph.nodes[s]!r} to {graph.nodes[int(unreachable[0])]!r}"
+            )
+        values[s] = (n - 1) / float(dist.sum())
+    return values
+
+
+def naive_brandes_betweenness(graph, weighted=False):
+    """Bitwise reference for ``betweenness_centrality``: Brandes
+    accumulation indexing the CSR arrays directly (BFS when unweighted,
+    Dijkstra with an exact ``==`` tie rule when weighted)."""
+    n = graph.n
+    indptr, indices = graph.indptr, graph.indices
+    lengths = _csr_lengths(graph, weighted)
+    score = np.zeros(n)
+    for s in range(n):
+        preds = [[] for _ in range(n)]
+        sigma = np.zeros(n)
+        sigma[s] = 1.0
+        dist = np.full(n, np.inf)
+        dist[s] = 0.0
+        order = []
+        if weighted:
+            seen = np.zeros(n, dtype=bool)
+            heap = [(0.0, s)]
+            while heap:
+                d, i = heapq.heappop(heap)
+                if seen[i]:
+                    continue
+                seen[i] = True
+                order.append(i)
+                for k in range(indptr[i], indptr[i + 1]):
+                    j = int(indices[k])
+                    nd = d + lengths[k]
+                    if nd < dist[j]:
+                        dist[j] = nd
+                        heapq.heappush(heap, (nd, j))
+                        sigma[j] = sigma[i]
+                        preds[j] = [i]
+                    elif nd == dist[j] and not seen[j]:
+                        sigma[j] += sigma[i]
+                        preds[j].append(i)
+        else:
+            queue = deque([s])
+            while queue:
+                i = queue.popleft()
+                order.append(i)
+                for k in range(indptr[i], indptr[i + 1]):
+                    j = int(indices[k])
+                    if np.isinf(dist[j]):
+                        dist[j] = dist[i] + 1
+                        queue.append(j)
+                    if dist[j] == dist[i] + 1:
+                        sigma[j] += sigma[i]
+                        preds[j].append(i)
+        delta = np.zeros(n)
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                score[w] += delta[w]
+    return score / 2.0

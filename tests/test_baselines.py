@@ -7,6 +7,8 @@ from dcmetrics import (
     BASELINES,
     ConvergenceError,
     DisconnectedGraphError,
+    GeneratorParams,
+    barabasi_albert,
     baseline,
     betweenness_centrality,
     build_graph,
@@ -17,7 +19,7 @@ from dcmetrics import (
     eigenvector_centrality,
 )
 from conftest import random_graph
-from naive import naive_betweenness, naive_closeness
+from naive import naive_betweenness, naive_brandes_betweenness, naive_closeness, naive_dijkstra_closeness
 from reference_values import PRINT_TOL, TOY_BASELINES, matches_print
 from test_distinctiveness import star
 
@@ -230,3 +232,95 @@ class TestEffectiveSize:
             expected = ((mat > 0) * r).sum(axis=1)
             vec = effective_size(g, weighted=weighted)
             assert np.allclose(vec.values, expected, rtol=1e-10)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def path_graphs():
+    """Seeded BA and random graphs; weights 1..2 make many weighted path
+    lengths tie exactly, 1..20 few."""
+    graphs = [
+        barabasi_albert(GeneratorParams(n=n, m_attach=m, weight_low=1, weight_high=high, seed=seed))
+        for seed, (n, m, high) in enumerate([(10, 1, 1), (10, 3, 20), (50, 2, 20), (50, 3, 2), (120, 2, 20)])
+    ]
+    rng = np.random.default_rng(30)
+    graphs += [random_graph(rng, int(rng.integers(5, 30)), density=0.2, max_weight=mw) for mw in (1, 2, 9, 9)]
+    return graphs
+
+
+class TestPathBaselinesMatchReference:
+    """The per-node-list path loops against the CSR-indexing loops they
+    replaced (tests/naive.py), bit for bit."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_betweenness_bitwise(self, path_graphs, weighted):
+        rng = np.random.default_rng(31)
+        disconnected = build_graph(
+            [(str(i), str(i + 1), float(rng.integers(1, 3))) for i in range(6)]
+            + [("x", "y", 1.0), ("y", "z", 2.0), ("z", "x", 1.0), ("z", "t", 1.0)]
+        )
+        for g in path_graphs + [disconnected]:
+            got = betweenness_centrality(g, weighted=weighted).values
+            assert np.array_equal(_bits(got), _bits(naive_brandes_betweenness(g, weighted)))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_closeness_bitwise(self, path_graphs, weighted):
+        for g in path_graphs:
+            got = closeness_centrality(g, weighted=weighted).values
+            assert np.array_equal(_bits(got), _bits(naive_dijkstra_closeness(g, weighted)))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_closeness_error_matches(self, weighted):
+        g = build_graph([("A", "B", 1), ("B", "C", 2), ("D", "E", 1)])
+        with pytest.raises(DisconnectedGraphError) as ref:
+            naive_dijkstra_closeness(g, weighted)
+        with pytest.raises(DisconnectedGraphError) as got:
+            closeness_centrality(g, weighted=weighted)
+        assert str(got.value) == str(ref.value) == "closeness needs a connected graph: no path from 'A' to 'D'"
+
+
+def _nx_graph(nx, g):
+    graph = nx.Graph()
+    graph.add_nodes_from(g.nodes)
+    graph.add_edges_from((u, v, {"weight": w, "length": 1.0 / w}) for u, v, w in g.edges())
+    return graph
+
+
+# networkx calls computing each baseline's definition; path metrics take
+# arc length 1/weight, strength metrics the weight itself.
+# - betweenness: networkx halves undirected pair counts when not normalized,
+#   as this package does.
+# - eigenvector: both iterate on A + I. Here tol bounds the norm of one
+#   step, which at the default 1e-10 leaves up to ~2e-9 relative error in
+#   the smallest components, so both sides are iterated to a tighter tol.
+# - weighted constraint and effective size: networkx 3.6 has a scipy
+#   shortcut (taken when `nodes` is omitted) that gives weighted effective
+#   sizes up to 8% away from its own per-node definition; `nodes` selects
+#   the per-node definition, which this package matches.
+NX_BASELINES = {
+    ("closeness", False): lambda nx, G: nx.closeness_centrality(G),
+    ("closeness", True): lambda nx, G: nx.closeness_centrality(G, distance="length"),
+    ("betweenness", False): lambda nx, G: nx.betweenness_centrality(G, normalized=False),
+    ("betweenness", True): lambda nx, G: nx.betweenness_centrality(G, normalized=False, weight="length"),
+    ("eigenvector", False): lambda nx, G: nx.eigenvector_centrality(G, max_iter=100_000, tol=1e-14),
+    ("eigenvector", True): lambda nx, G: nx.eigenvector_centrality(G, max_iter=100_000, tol=1e-14, weight="weight"),
+    ("constraint", False): lambda nx, G: nx.constraint(G),
+    ("constraint", True): lambda nx, G: nx.constraint(G, nodes=list(G), weight="weight"),
+    ("effective-size", False): lambda nx, G: nx.effective_size(G),
+    ("effective-size", True): lambda nx, G: nx.effective_size(G, nodes=list(G), weight="weight"),
+}
+
+
+@pytest.mark.parametrize("metric, weighted", list(NX_BASELINES))
+def test_matches_networkx(path_graphs, metric, weighted):
+    nx = pytest.importorskip("networkx")
+    for g in path_graphs:
+        if metric == "eigenvector":
+            ours = eigenvector_centrality(g, weighted=weighted, tol=1e-13).values
+        else:
+            ours = baseline(g, metric, weighted=weighted).values
+        theirs = NX_BASELINES[metric, weighted](nx, _nx_graph(nx, g))
+        np.testing.assert_allclose(ours, [theirs[u] for u in g.nodes], rtol=1e-9, atol=0)

@@ -302,9 +302,12 @@ class TestBuildErrors:
         empty_label_first = "undirected\nA\tB\t1\n\tG\t1\nE\tF\t2\nC\tD\t-1\n"
         with pytest.raises(ParseError, match=r"^line 3: empty node label$"):
             parse_edge_list(empty_label_first)
-        # an infinite weight passes the line checks and fails in the build,
-        # so a later empty label is still reported first, with its line
-        with pytest.raises(ParseError, match=r"^line 3: empty node label$"):
-            parse_edge_list("A\tB\t1\nC\tD\tinf\n\tG\t1\n")
-        with pytest.raises(GraphBuildError, match=r"^edge 'C' -> 'D' has non-positive weight inf$"):
-            parse_edge_list("A\tB\t1\nC\tD\tinf\n")
+        # a non-finite weight fails on its own line, before a later empty label
+        for weight in ("inf", "nan", "-inf"):
+            with pytest.raises(ParseError, match=rf"^line 2: weight must be finite, got {weight}$"):
+                parse_edge_list(f"A\tB\t1\nC\tD\t{weight}\n\tG\t1\n")
+        with pytest.raises(ParseError, match=r"^line 2: weight must be positive, got 0$"):
+            parse_edge_list("A\tB\t1\nC\tD\t0\n\tG\t1\n")
+        for weight in (float("inf"), float("nan")):
+            with pytest.raises(GraphBuildError, match=rf"^edge 'C' -> 'D' has non-finite weight {weight!r}$"):
+                build_graph([("A", "B", 1), ("C", "D", weight)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dcmetrics import (
+    TIE_RULES,
     CentralityVector,
     GeneratorParams,
     correlation_sweep,
@@ -10,7 +11,14 @@ from dcmetrics import (
     rank,
     spearman,
 )
-from naive import naive_spearman
+from dcmetrics import baselines, stats
+from naive import (
+    naive_brandes_betweenness,
+    naive_dijkstra_closeness,
+    naive_pairwise_spearman,
+    naive_rank_array,
+    naive_spearman,
+)
 
 
 def vec(scores: dict, metric="test") -> CentralityVector:
@@ -50,6 +58,18 @@ class TestRank:
             v = vec({str(i): x for i, x in enumerate(values)})
             r = rank(v, "average")
             assert float(r.ranks.sum()) == pytest.approx(12 * 13 / 2)
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    def test_matches_tie_loop_reference(self, rule):
+        rng = np.random.default_rng(22)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 0.3, 1e-300, 5e-324, 2.5, 1e300])
+        for _ in range(400):
+            n = int(rng.integers(1, 60))
+            values = rng.choice(pool[: int(rng.integers(1, pool.size + 1))], size=n)
+            r = rank(vec({str(i): x for i, x in enumerate(values)}), rule)
+            want = naive_rank_array(values, rule)
+            assert r.ranks.dtype == want.dtype == (np.int64 if rule == "competition" else np.float64)
+            assert r.ranks.tobytes() == want.tobytes()
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -162,3 +182,26 @@ class TestSweep:
             correlation_sweep(PARAMS, ensemble_size=0, alphas=(1.0,))
         with pytest.raises(ValueError):
             correlation_sweep(PARAMS, ensemble_size=1, alphas=())
+
+    def test_matches_per_pair_reference(self, monkeypatch):
+        """Ranking each vector once, over the list-based path baselines,
+        gives the sweep of per-pair ranking over the CSR-indexing loops
+        (tests/naive.py), bit for bit."""
+        params = GeneratorParams(n=50, m_attach=2, weight_low=1, weight_high=20)
+
+        def run():
+            return [correlation_sweep(params, ensemble_size=3, alphas=(1.0, 2.0, 5.0), seed=s) for s in range(3)]
+
+        fast = run()
+        monkeypatch.setattr(stats, "_ranked", lambda values: np.asarray(values, dtype=np.float64))
+        monkeypatch.setattr(stats, "_rho", naive_pairwise_spearman)
+        for metric, reference in (("betweenness", naive_brandes_betweenness), ("closeness", naive_dijkstra_closeness)):
+            monkeypatch.setitem(
+                baselines._DISPATCH, metric,
+                lambda g, w, metric=metric, reference=reference: baselines._vector(g, metric, w, reference(g, w)),
+            )
+        for a, b in zip(fast, run()):
+            assert list(a.means) == list(b.means)
+            assert np.array_equal(np.array(list(a.means.values())).view(np.int64),
+                                  np.array(list(b.means.values())).view(np.int64))
+            assert a.perfect_overlaps == b.perfect_overlaps
