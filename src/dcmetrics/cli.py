@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .baselines import BASELINES, baseline
 from .datasets import DATASET_NAMES, builtin_dataset
@@ -172,13 +174,11 @@ def _cmd_rank(args) -> int:
     else:
         vec = baseline(graph, base_names[0], weighted=args.weighted)
     ranking = rank(vec, tie_rule=args.tie_rule)
-    order = sorted(range(len(ranking.labels)), key=lambda i: (ranking.ranks[i], i))
-    lines = ["rank,node,score"]
-    for i in order:
-        r = ranking.ranks[i]
-        r_txt = str(int(r)) if args.tie_rule == "competition" else f"{float(r):g}"
-        lines.append(f"{r_txt},{ranking.labels[i]},{vec.values[i]:.6g}")
-    _emit(args, "\n".join(lines) + "\n")
+    order = np.argsort(ranking.ranks, kind="stable")  # ties keep node order
+    labels = [ranking.labels[i] for i in order.tolist()]
+    rows = zip(ranking.ranks[order].tolist(), labels, vec.values[order].tolist())
+    template = ("%d" if args.tie_rule == "competition" else "%g") + ",%s,%.6g"
+    _emit(args, "\n".join(["rank,node,score", *map(template.__mod__, rows)]) + "\n")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""File formats: tab-separated edge lists, a minimal GEXF subset, and
+r"""File formats: tab-separated edge lists, a minimal GEXF subset, and
 CSV/JSON result tables.
 
 Edge-list format (UTF-8, LF, '.' decimal point regardless of locale):
@@ -7,12 +7,20 @@ Edge-list format (UTF-8, LF, '.' decimal point regardless of locale):
     undirected            <- optional directive on the first data line
     A<TAB>B<TAB>2.5       <- edge; weight optional, defaults to 1
     Z                     <- single field: declares an isolated node
+
+Lines end at "\n" only. The "\r" of a CRLF line is stripped with the
+other surrounding whitespace; any other "\r" is a ParseError (text read
+in text mode, as the CLI reads files, holds none). The other characters
+``str.splitlines`` breaks at ("\x0c", "\x1c", "\x85", "\u2028", ...)
+are label characters: a label with one between other characters
+survives a write/parse round trip (``strip`` removes one at either end).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -40,7 +48,11 @@ def parse_edge_list(text: str) -> Graph:
     targets: list[str] = []
     weights: list[float] = []
     declared: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    bare_cr = re.search(r"\r(?!\n)", text)
+    if bare_cr:
+        lineno = text.count("\n", 0, bare_cr.start()) + 1
+        raise ParseError("carriage return without a line feed: lines end at LF or CRLF", lineno)
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             continue
@@ -220,17 +232,21 @@ class ResultTable:
                 raise ValueError("all vectors in a table must share the node set and order")
         return cls(
             labels=labels,
-            columns=tuple((_column_name(v), tuple(float(x) for x in v.values)) for v in vectors),
+            columns=tuple(
+                (_column_name(v), tuple(np.asarray(v.values, dtype=np.float64).tolist())) for v in vectors
+            ),
         )
 
     def to_csv(self) -> str:
-        """CSV with 6-significant-digit cells, ',' separators, LF endings."""
-        header = "node," + ",".join(name for name, _ in self.columns)
-        lines = [header]
-        for i, lab in enumerate(self.labels):
-            cells = ",".join(f"{vals[i]:.6g}" for _, vals in self.columns)
-            lines.append(f"{lab},{cells}")
-        return "\n".join(lines) + "\n"
+        """CSV with 6-significant-digit cells, ',' separators, LF endings.
+
+        Every row goes through one %-template; ``"%.6g" % x`` gives the same
+        text as ``format(x, ".6g")`` for every float, nan and inf included.
+        """
+        names = [name for name, _ in self.columns]
+        template = "%s," + ",".join(["%.6g"] * len(names))
+        rows = map(template.__mod__, zip(self.labels, *(vals for _, vals in self.columns)))
+        return "\n".join(["node," + ",".join(names), *rows]) + "\n"
 
     def to_json(self) -> str:
         """JSON with full double precision."""

@@ -16,7 +16,8 @@ from collections import deque
 
 import numpy as np
 
-from dcmetrics import BuildReport, DisconnectedGraphError, Graph, GraphBuildError
+from dcmetrics import BuildReport, ConvergenceError, DisconnectedGraphError, Graph, GraphBuildError
+from dcmetrics.graph import segment_sum
 
 
 def naive_build_graph(edges, directed=False, nodes=()):
@@ -372,3 +373,53 @@ def naive_brandes_betweenness(graph, weighted=False):
             if w != s:
                 score[w] += delta[w]
     return score / 2.0
+
+
+def naive_power_eigenvector(graph, weighted=False, tol=1e-10, max_iter=10000):
+    """Bitwise reference for ``eigenvector_centrality``: the power loop
+    calling ``segment_sum`` on every step."""
+    n = graph.n
+    weights = graph.weights if weighted else np.ones_like(graph.weights)
+    x = np.full(n, 1.0 / np.sqrt(n))
+    for iteration in range(1, max_iter + 1):
+        y = segment_sum(weights * x[graph.indices], graph.indptr) + x
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            raise ConvergenceError("power iteration collapsed to the zero vector", iteration)
+        y /= norm
+        if float(np.linalg.norm(y - x)) < tol:
+            return y
+        x = y
+    raise ConvergenceError(f"power iteration did not reach tolerance {tol:g}", max_iter)
+
+
+def naive_neighbor_weight_maps(graph):
+    """Reference for ``baselines._neighbor_weight_maps``: one dict per node,
+    built by indexing the CSR arrays entry by entry."""
+    maps = []
+    for i in range(graph.n):
+        lo, hi = graph.indptr[i], graph.indptr[i + 1]
+        maps.append({int(graph.indices[k]): float(graph.weights[k]) for k in range(lo, hi)})
+    return maps
+
+
+def naive_to_csv(table):
+    """Byte reference for ``ResultTable.to_csv``: one f-string per cell."""
+    header = "node," + ",".join(name for name, _ in table.columns)
+    lines = [header]
+    for i, lab in enumerate(table.labels):
+        cells = ",".join(f"{vals[i]:.6g}" for _, vals in table.columns)
+        lines.append(f"{lab},{cells}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_rank_csv(ranking, values):
+    """Byte reference for the ``rank`` command's output: a Python sort by
+    (rank, node index) and one f-string per row over numpy scalars."""
+    order = sorted(range(len(ranking.labels)), key=lambda i: (ranking.ranks[i], i))
+    lines = ["rank,node,score"]
+    for i in order:
+        r = ranking.ranks[i]
+        r_txt = str(int(r)) if ranking.tie_rule == "competition" else f"{float(r):g}"
+        lines.append(f"{r_txt},{ranking.labels[i]},{values[i]:.6g}")
+    return "\n".join(lines) + "\n"

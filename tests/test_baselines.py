@@ -19,7 +19,15 @@ from dcmetrics import (
     eigenvector_centrality,
 )
 from conftest import random_graph
-from naive import naive_betweenness, naive_brandes_betweenness, naive_closeness, naive_dijkstra_closeness
+from dcmetrics.baselines import _neighbor_weight_maps
+from naive import (
+    naive_betweenness,
+    naive_brandes_betweenness,
+    naive_closeness,
+    naive_dijkstra_closeness,
+    naive_neighbor_weight_maps,
+    naive_power_eigenvector,
+)
 from reference_values import PRINT_TOL, TOY_BASELINES, matches_print
 from test_distinctiveness import star
 
@@ -280,6 +288,23 @@ class TestPathBaselinesMatchReference:
         with pytest.raises(DisconnectedGraphError) as got:
             closeness_centrality(g, weighted=weighted)
         assert str(got.value) == str(ref.value) == "closeness needs a connected graph: no path from 'A' to 'D'"
+
+
+class TestEigenvectorMatchesReference:
+    """The power loop with its entry rows built once against the loop that
+    rebuilt them on every step (tests/naive.py), bit for bit."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_bitwise(self, path_graphs, weighted, tol):
+        for g in path_graphs + [star(6)]:
+            got = eigenvector_centrality(g, weighted=weighted, tol=tol).values
+            assert np.array_equal(_bits(got), _bits(naive_power_eigenvector(g, weighted, tol)))
+
+    def test_neighbor_weight_maps(self, path_graphs):
+        for g in path_graphs:
+            got = [list(row.items()) for row in _neighbor_weight_maps(g)]
+            assert got == [list(row.items()) for row in naive_neighbor_weight_maps(g)]
 
 
 def _nx_graph(nx, g):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dcmetrics import all_distinctiveness, baseline, builtin_dataset, rank
 from dcmetrics.cli import run_cli
+from naive import naive_rank_csv
 
 
 def run(capsys, *argv):
@@ -146,6 +148,16 @@ class TestRank:
         # A, C, D tie at rank 2; E and F at 5
         assert {l.split(",")[0] for l in lines[2:5]} == {"2"}
         assert {l.split(",")[0] for l in lines[5:]} == {"5"}
+
+    @pytest.mark.parametrize("dataset", ["florentine", "zachary"])
+    @pytest.mark.parametrize("tie_rule", ["competition", "average"])
+    @pytest.mark.parametrize("metric", ["d2", "degree"])
+    def test_bytes_match_reference(self, capsys, dataset, tie_rule, metric):
+        code, out, _ = run(capsys, "rank", "--dataset", dataset, "--metric", metric, "--tie-rule", tie_rule)
+        g = builtin_dataset(dataset)
+        vec = baseline(g, metric) if metric == "degree" else all_distinctiveness(g, metrics=(metric,))[metric]
+        assert code == 0
+        assert out == naive_rank_csv(rank(vec, tie_rule=tie_rule), vec.values)
 
 
 class TestCompare:

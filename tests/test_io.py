@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from dcmetrics import (
+    CentralityVector,
     ParseError,
     all_distinctiveness,
     build_graph,
@@ -13,6 +16,7 @@ from dcmetrics import (
     write_edge_list,
 )
 from dcmetrics.io import GexfFeatureWarning, ResultTable
+from naive import naive_to_csv
 
 
 class TestEdgeList:
@@ -66,6 +70,25 @@ class TestEdgeList:
     def test_empty_document_rejected(self):
         with pytest.raises(ParseError, match="no edges"):
             parse_edge_list("# nothing\n")
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_splitlines_breaks_are_label_characters(self, char):
+        g = build_graph([(f"A{char}B", "C", 2.0)], nodes=[f"Z{char}Y"])
+        g2 = parse_edge_list(write_edge_list(g))
+        assert g2.nodes == g.nodes == (f"Z{char}Y", f"A{char}B", "C")
+        assert list(g2.edges()) == list(g.edges())
+
+    def test_crlf_line_endings(self):
+        lf = "# a file\nundirected\nZ\nA\tB\t2.5\nB\tC\n"
+        g = parse_edge_list(lf.replace("\n", "\r\n"))
+        ref = parse_edge_list(lf)
+        assert g.nodes == ref.nodes == ("Z", "A", "B", "C")
+        assert list(g.edges()) == list(ref.edges())
+
+    @pytest.mark.parametrize("text", ["undirected\rA\tB\n", "A\tB\r\n# c\rB\tC\n", "A\tB\r\nB\tC\r\r\n"])
+    def test_bare_carriage_return_rejected(self, text):
+        with pytest.raises(ParseError, match="line [12]: carriage return without a line feed"):
+            parse_edge_list(text)
 
     def test_fractional_weights_round_trip_exactly(self):
         g = build_graph([("A", "B", 0.1), ("B", "C", 2.5)])
@@ -180,3 +203,20 @@ class TestResultTable:
 
         table = ResultTable.from_vectors([degree_centrality(g, weighted=True)])
         assert "1.23457e+06" in table.to_csv()
+
+    def test_csv_matches_per_cell_reference(self):
+        values = np.array([-0.0, 0.0, 5e-324, 1e-05, 1e16, 123456.5, 3.0, -42.0, 1e6, 0.1, 2.0**53])
+        labels = ("Zürich", "東京", "naïve", "Ωmega", "50%", "a b", "😀", "Łódź", "ß", "x,y", "end")
+        vectors = [
+            CentralityVector("d1", 1.0, "undirected", labels, values),
+            CentralityVector("d2", 2.5, "undirected", labels, values[::-1].copy()),
+        ]
+        table = ResultTable.from_vectors(vectors)
+        for (_, vals), vec in zip(table.columns, vectors):
+            assert all(type(x) is float for x in vals)
+            assert np.array_equal(np.array(vals).view(np.int64), vec.values.view(np.int64))
+        nonfinite = ResultTable(labels=("α", "β", "γ"), columns=(("x", (math.nan, math.inf, -math.inf)),))
+        no_columns = ResultTable(labels=labels, columns=())
+        for t in (table, nonfinite, no_columns):
+            assert t.to_csv() == naive_to_csv(t)
+        assert table.to_csv().splitlines()[1] == "Zürich,-0,9.0072e+15"
