@@ -51,7 +51,7 @@ def _load_graph(args) -> Graph:
         return builtin_dataset(args.dataset)
     path = Path(args.input)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DCMetricsError(f"cannot read input file {path}: {exc.strerror or exc}") from None
     if path.suffix.lower() == ".gexf" or text.lstrip().startswith("<"):
@@ -188,7 +188,7 @@ def _cmd_compare(args) -> int:
     vectors: list[CentralityVector] = []
     names: list[str] = []
     if args.input2:
-        other = parse_edge_list(Path(args.input2).read_text(encoding="utf-8"))
+        other = parse_edge_list(Path(args.input2).read_text(encoding="utf-8-sig"))
         if len(dc_names) + len(base_names) != 1:
             raise DCMetricsError("comparing two graphs takes exactly one metric")
         for g, tag in ((graph, "a"), (other, "b")):

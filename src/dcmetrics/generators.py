@@ -14,7 +14,7 @@ import numpy as np
 
 # build_graph is unused here but stays importable as generators.build_graph,
 # the name perfbench/tracer.py wraps
-from .graph import Graph, build_graph, csr_from_arrays  # noqa: F401
+from .graph import Graph, build_graph, graph_from_arrays  # noqa: F401
 
 __all__ = ["GeneratorParams", "barabasi_albert"]
 
@@ -76,4 +76,4 @@ def barabasi_albert(params: GeneratorParams) -> Graph:
     weights = wrng.integers(params.weight_low, params.weight_high + 1, size=len(dst))
     src = np.repeat(np.arange(m, n), m)
     labels = tuple(map(str, range(n)))
-    return Graph(labels, False, *csr_from_arrays(src, dst, weights, n, directed=False))
+    return graph_from_arrays(labels, src, dst, weights, directed=False)

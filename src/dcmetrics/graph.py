@@ -7,8 +7,10 @@ arrays; node labels are the only identity exposed to callers.
 
 Every graph is built by one array pass, ``csr_from_arrays``: integer
 endpoint and weight arrays in, CSR out, with no per-edge Python.
-``build_graph`` checks and interns labels in front of it, the parsers hand
-it label columns, and the generator passes its integer arrays straight in.
+``graph_from_arrays`` wraps it with the check on merged weights, and every
+builder ends there: ``build_graph`` after checking and interning labels,
+the edge-list reader after interning the label bytes of a file, and the
+generator with its integer arrays.
 The build guarantees:
 
 - node order is first appearance (pre-declared nodes, then endpoints,
@@ -205,6 +207,15 @@ def build_graph(
         _raise_first_error(nodes, zip(sources, targets, w))
     if not w.size:
         raise GraphBuildError("empty edge list: a graph needs at least one edge")
+    return graph_from_arrays(labels, src, dst, w, directed)
+
+
+def graph_from_arrays(
+    labels: tuple[str, ...], src: np.ndarray, dst: np.ndarray, w: np.ndarray, directed: bool
+) -> Graph:
+    """Graph on ``labels`` from endpoint indices into ``labels`` and valid
+    weights: ``csr_from_arrays``, then a GraphBuildError if parallel edges
+    merged to a weight that is not finite."""
     graph = Graph(labels, directed, *csr_from_arrays(src, dst, w, len(labels), directed))
     bad = np.flatnonzero(~np.isfinite(graph.weights))
     if bad.size:
@@ -283,10 +294,27 @@ def _merge_parallel(
     keep = src != dst
     src, dst, w = src[keep], dst[keep], w[keep]
     key = src * n + dst if directed else np.minimum(src, dst) * n + np.maximum(src, dst)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first, inverse = first_inverse(key)
     merged = np.bincount(inverse, weights=w, minlength=first.size)
     report = BuildReport(merged_edges=int(key.size - first.size), self_loops_dropped=int(keep.size - key.size))
     return src[first], dst[first], merged, first, report
+
+
+def first_inverse(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(key, return_index=True, return_inverse=True)`` gives
+    after the values: the first position of each distinct value, in value
+    order, and the group of every element. One quicksort ``argsort``, about
+    twice as fast as np.unique's stable sort; it leaves the positions within
+    a run of equal values unordered, so each run takes their minimum."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts_run = np.empty(key.size, dtype=bool)
+    starts_run[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts_run[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(starts_run))
+    inverse = np.empty(key.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts_run) - 1
+    return first, inverse
 
 
 def _csr_rows(

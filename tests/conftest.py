@@ -55,3 +55,18 @@ def random_graph(rng: np.random.Generator, n: int, directed: bool = False,
             if rng.random() < density:
                 add(i, j)
     return build_graph(edges, directed=directed, nodes=[str(i) for i in range(n)])
+
+
+def assert_same_graph(g, ref):
+    """Same nodes, direction, build report, and CSR arrays bit for bit."""
+    assert g.nodes == ref.nodes
+    assert g.directed == ref.directed
+    assert g.build_report == ref.build_report
+    for name in ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights"):
+        a, b = getattr(g, name), getattr(ref, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # bitwise, so that -0.0/0.0 or a last-bit difference in a merged weight fails
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name

@@ -255,3 +255,47 @@ class TestDatasets:
         assert code == 0
         files = sorted(p.name for p in (tmp_path / "data").iterdir())
         assert files == ["florentine.tsv", "toy-directed.tsv", "toy-undirected.tsv", "zachary.tsv"]
+
+
+class TestByteOrderMark:
+    """Files saved with a UTF-8 byte-order mark read as if it were absent."""
+
+    TOY = "A\tB\t2\nA\tE\t5\nB\tC\t2\nB\tD\t2\nB\tF\t5\nC\tD\t5\n"
+
+    def _compute(self, capsys, path):
+        return run(capsys, "compute", "--input", str(path), "--metrics", "d1,d5", "--alpha", "2")
+
+    def test_directive_after_bom(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text("undirected\n" + self.TOY, encoding="utf-8")
+        marked.write_text("undirected\n" + self.TOY, encoding="utf-8-sig")
+        code, out, err = self._compute(capsys, marked)
+        assert (code, err) == (0, "")
+        assert out == self._compute(capsys, plain)[1]
+
+    def test_gexf_without_suffix_after_bom(self, capsys, tmp_path):
+        path = tmp_path / "graph.xml"
+        path.write_text(
+            '<gexf><graph defaultedgetype="undirected">'
+            '<nodes><node id="a"/><node id="b"/><node id="c"/></nodes>'
+            '<edges><edge source="a" target="b" weight="2"/>'
+            '<edge source="b" target="c"/></edges></graph></gexf>',
+            encoding="utf-8-sig",
+        )
+        code, out, _ = run(capsys, "compute", "--input", str(path), "--metrics", "d1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["node", "a", "b", "c"]
+
+    def test_first_edge_label_after_bom(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(self.TOY, encoding="utf-8")
+        marked.write_text(self.TOY, encoding="utf-8-sig")
+        code, out, _ = self._compute(capsys, marked)
+        assert code == 0
+        assert out.splitlines()[1].startswith("A,")
+        for first, second in ((plain, marked), (marked, plain)):
+            code, out, err = run(
+                capsys, "compare", "--input", str(first), "--input2", str(second), "--metrics", "d1",
+            )
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1] == "d1@a,1,1"

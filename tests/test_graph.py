@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dcmetrics import GraphBuildError, ParseError, build_graph, is_connected, parse_edge_list, profile, validate
-from conftest import random_graph
+from dcmetrics.graph import first_inverse
+from conftest import assert_same_graph, random_graph
 from naive import naive_build_graph, naive_edges, naive_is_connected
 
 
@@ -157,20 +158,6 @@ def _outcome(build, *args, **kwargs):
     raise AssertionError("build did not fail")
 
 
-def _assert_same_graph(g, ref):
-    assert g.nodes == ref.nodes
-    assert g.directed == ref.directed
-    assert g.build_report == ref.build_report
-    for name in ("indptr", "indices", "weights", "in_indptr", "in_indices", "in_weights"):
-        a, b = getattr(g, name), getattr(ref, name)
-        if b is None:
-            assert a is None, name
-            continue
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        # bitwise, so that -0.0/0.0 or a last-bit difference in a merged weight fails
-        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
-
-
 # weights of one pair repeated in every random edge list: non-dyadic, so
 # their float sum depends on the order they are added in
 REPEATED = [0.1, 0.7, 0.2, 0.3, 0.1, 0.7, 0.6, 0.1, 0.9, 0.7, 0.3, 0.1]
@@ -204,7 +191,7 @@ class TestArrayBuildMatchesReference:
         for _ in range(60):
             edges, declared = _random_edge_list(rng, directed)
             g = build_graph(edges, directed=directed, nodes=declared)
-            _assert_same_graph(g, naive_build_graph(edges, directed=directed, nodes=declared))
+            assert_same_graph(g, naive_build_graph(edges, directed=directed, nodes=declared))
             assert g.isolates() >= {"isolated"}
 
     def test_repeated_pair_is_order_sensitive(self):
@@ -223,7 +210,22 @@ class TestArrayBuildMatchesReference:
         rng = np.random.default_rng(5)
         edges, declared = _random_edge_list(rng, directed=False)
         text = "\n".join(["undirected", *declared, *(f"{u}\t{v}\t{w!r}" for u, v, w in edges)])
-        _assert_same_graph(parse_edge_list(text), naive_build_graph(edges, nodes=declared))
+        assert_same_graph(parse_edge_list(text), naive_build_graph(edges, nodes=declared))
+
+    def test_first_inverse_matches_unique(self):
+        rng = np.random.default_rng(7)
+        keys = [
+            np.array([], dtype=np.int64),
+            np.array([5]),
+            rng.integers(0, 50, size=1000),
+            rng.integers(0, 2**62, size=500),
+            rng.integers(0, 2**64, size=300, dtype=np.uint64).repeat(3)[rng.permutation(900)],
+        ]
+        for key in keys:
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            got_first, got_inverse = first_inverse(key)
+            assert got_first.dtype == first.dtype and np.array_equal(got_first, first)
+            assert got_inverse.dtype == inverse.dtype and np.array_equal(got_inverse, inverse)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_edges_and_connectivity_match_loops(self, directed):

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dcmetrics import (
     CentralityVector,
+    GraphBuildError,
     ParseError,
     all_distinctiveness,
     build_graph,
@@ -15,8 +17,10 @@ from dcmetrics import (
     parse_gexf_minimal,
     write_edge_list,
 )
+from dcmetrics import io
 from dcmetrics.io import GexfFeatureWarning, ResultTable
-from naive import naive_to_csv
+from conftest import assert_same_graph
+from naive import naive_build_graph, naive_to_csv
 
 
 class TestEdgeList:
@@ -94,6 +98,213 @@ class TestEdgeList:
         g = build_graph([("A", "B", 0.1), ("B", "C", 2.5)])
         g2 = parse_edge_list(write_edge_list(g))
         assert list(g2.edges()) == list(g.edges())
+
+    @pytest.mark.parametrize("label", ["A\tB", "A\nB", "A\rB"])
+    def test_writer_rejects_separator_in_label(self, label):
+        g = build_graph([("ok", label, 1.0)])
+        with pytest.raises(ValueError, match=re.escape(f"node label {label!r} cannot be written")):
+            write_edge_list(g)
+
+    @pytest.mark.parametrize("label", [" A", "A ", "\x1cA", "A\u00a0", "\u3000"])
+    def test_writer_rejects_label_strip_would_change(self, label):
+        g = build_graph([("ok", "B", 1.0)], nodes=[label])
+        with pytest.raises(ValueError, match="cannot be written to an edge list"):
+            write_edge_list(g)
+
+    def test_writer_rejects_comment_mark_and_names_first_label(self):
+        g = build_graph([("#A", "C", 1.0), ("C", "#B", 1.0)])
+        with pytest.raises(ValueError, match="node label '#A' cannot be written"):
+            write_edge_list(g)
+        # a "#" after the first character is a label character
+        g = build_graph([("A#", "C#D", 1.0)])
+        assert parse_edge_list(write_edge_list(g)).nodes == ("A#", "C#D")
+
+
+def _document(rng, directed, exotic):
+    """A seeded edge-list document the array reader and the loop must read
+    alike: comments, blank lines, optional CRLF ends, the directive,
+    repeated declarations, 2- and 3-field lines, weights in several
+    spellings, and labels with spaces and non-ASCII letters (with ``exotic``,
+    also "\x85" and U+2028, which send the document to the loop)."""
+    pool = ["v1", "v2", "a b", "Zürich", "東京", "ß", "x", "long label with spaces", "7", "#in"]
+    if exotic:
+        pool += ["p\x85q", "r\u2028s"]
+    weights = ["7", "2.5", "1e1", "1_0", "+5", " 5 ", "0.1", "007", "123456789012345",
+               "1234567890123456", "9007199254740993", "9999999999999999999", "\x0b4\x0c", "\u0661",
+               "7.0", ".5", "5.", "123456789.012345", "1234567890.123456", "0.30000000000000004"]
+
+    def label():
+        text = str(rng.choice(pool))
+        pad = rng.integers(0, 4)
+        return [text, f" {text}", f"{text}  ", f"\x1f{text}\x0b"][pad]
+
+    lines = ["# generated", ""]
+    if rng.random() < 0.7:
+        lines.append(" directed " if directed else "undirected")
+    else:  # without the directive the first data line must be an edge
+        lines.append("v1\tv2\t3")
+    for _ in range(int(rng.integers(1, 40))):
+        kind = rng.integers(0, 6)
+        if kind == 0:
+            lines.append(str(rng.choice(["", "  ", "# a\tcomment", "   # indented", " \t "])))
+        elif kind == 1:
+            lines.append(label())
+        elif kind == 2:
+            lines.append(f"{label()}\t{label()}")
+        else:
+            lines.append(f"{label()}\t{label()}\t{rng.choice(weights)}")
+    lines.append("v1\tv2\t3")
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + str(rng.choice(["", end]))
+
+
+class TestArrayReaderMatchesLoop:
+    """``parse_edge_list``'s array reader against the line-by-line reader."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_same_graph_on_seeded_documents(self, directed):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(80):
+            text = _document(rng, directed, exotic=False)
+            graph = io._parse_bytes(text)
+            assert graph is not None, text
+            assert_same_graph(graph, io._parse_lines(text))
+            seen.add(graph.directed)
+        assert directed in seen
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_unicode_whitespace_documents_go_to_the_loop(self, directed):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            text = _document(rng, directed, exotic=True)
+            if "\x85" in text or "\u2028" in text:
+                assert io._parse_bytes(text) is None
+            assert_same_graph(parse_edge_list(text), io._parse_lines(text))
+
+    def test_no_break_space_around_label(self):
+        text = "undirected\n\u00a0A\u00a0\tB\t2\nB\t\u00a0C\n"
+        assert io._parse_bytes(text) is None
+        graph = parse_edge_list(text)
+        assert graph.nodes == ("A", "B", "C")
+        assert_same_graph(graph, naive_build_graph([("A", "B", 2.0), ("B", "C", 1.0)]))
+
+    def test_lone_surrogate_goes_to_the_loop(self):
+        text = "A\tB\ud800\t2\nB\ud800\tC\n"
+        assert io._parse_bytes(text) is None
+        assert parse_edge_list(text).nodes == ("A", "B\ud800", "C")
+
+    @pytest.mark.parametrize("fake_hash", [
+        lambda buf, lo, hi: np.zeros(lo.size, dtype=np.uint64),
+        lambda buf, lo, hi: (hi - lo).astype(np.uint64),
+    ])
+    def test_hash_collision_goes_to_the_loop(self, monkeypatch, fake_hash):
+        text = "undirected\nZ\nab\tcd\t2\ncd\tef\nab\tef\t3\n"
+        reference = naive_build_graph([("ab", "cd", 2.0), ("cd", "ef", 1.0), ("ab", "ef", 3.0)], nodes=["Z"])
+        assert_same_graph(io._parse_bytes(text), reference)
+        monkeypatch.setattr(io, "_hash_fields", fake_hash)
+        assert io._parse_bytes(text) is None
+        assert_same_graph(parse_edge_list(text), reference)
+
+    def test_long_label(self):
+        long = "".join(map(chr, np.random.default_rng(3).integers(0x21, 0x7F, size=5000).tolist()))
+        long = long.replace("#", "x")
+        text = f"A\t{long}\t2.5\n{long}\tB\n{long[:-1]}\t{long}\n"
+        graph = io._parse_bytes(text)
+        assert graph is not None
+        assert_same_graph(graph, io._parse_lines(text))
+        assert graph.nodes == ("A", long, "B", long[:-1])
+
+    def test_decimal_weights_read_as_float_reads_them(self):
+        rng = np.random.default_rng(8)
+        texts = []
+        for _ in range(3000):
+            digits = "".join(map(str, rng.integers(0, 10, size=int(rng.integers(1, 17)))))
+            point = int(rng.integers(0, len(digits) + 1))
+            texts.append(digits[:point] + "." + digits[point:] if rng.random() < 0.8 else digits)
+        for _ in range(1000):  # 16 digits, above 2**53: float() must read these
+            digits = "9" + "".join(map(str, rng.integers(0, 10, size=15)))
+            point = int(rng.integers(1, 17))
+            texts.append(digits[:point] + "." + digits[point:])
+        raw = "\t".join(texts).encode()
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.append(np.flatnonzero(buf == 9), buf.size)
+        starts = np.append(0, ends[:-1] + 1)
+        good = [i for i, t in enumerate(texts) if float(t) > 0]
+        weights = io._parse_weights(buf, raw, starts[good], ends[good])
+        expected = np.array([float(texts[i]) for i in good])
+        assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+
+    def test_merged_weight_overflow(self):
+        for parse in (parse_edge_list, io._parse_bytes, io._parse_lines):
+            with pytest.raises(GraphBuildError, match="'A' -> 'B'.*non-finite weight inf"):
+                parse("A\tB\t1e308\nB\tA\t1e308")
+
+    @pytest.mark.parametrize("text", [
+        "undirected\rA\tB\n",
+        "A\tB\r\n# c\rB\tC\n",
+        "mixed graph\nA\tB\t1",
+        "A\tB\t1\nC\tD\t2\t3\n",
+        "A\tB\t1\n\tG\t1\n",
+        "A\tB\t1\nG \t \t1\n",
+        "A\tB\t1\nB\tC\theavy",
+        "A\tB\t1\nB\tC\t",
+        "A\tB\t1\nB\tC\t5\x1c",
+        "A\tB\t1\nB\tC\t1.2.3",
+        "A\tB\t1\nB\tC\t.",
+        "A\tB\t1\nC\tD\t0\n",
+        "A\tB\t1\nC\tD\t-1\n",
+        "A\tB\t1\nC\tD\tinf\n",
+        "A\tB\t1\nC\tD\tnan\n",
+        "# nothing\n\n",
+        "",
+    ])
+    def test_same_parse_error(self, text):
+        assert io._parse_bytes(text) is None
+        with pytest.raises(ParseError) as loop:
+            io._parse_lines(text)
+        with pytest.raises(ParseError) as array:
+            parse_edge_list(text)
+        assert (array.value.line, str(array.value)) == (loop.value.line, str(loop.value))
+
+    def test_declarations_without_edges(self):
+        text = "undirected\nZ\nY\n"
+        assert io._parse_bytes(text) is None
+        with pytest.raises(GraphBuildError, match="empty edge list"):
+            parse_edge_list(text)
+
+    def test_whitespace_tables_match_str_strip(self):
+        ascii_space = [c for c in range(128) if chr(c).isspace()]
+        assert np.flatnonzero(io._SPACE).tolist() == ascii_space
+        others = "".join(c for c in map(chr, range(128, 0x110000)) if c.isspace())
+        assert io._UNICODE_SPACE.sub("", others) == ""
+        assert len(io._UNICODE_SPACE.findall("".join(map(chr, range(128, 0x3001))))) == len(others)
+
+
+class TestRoundTripProperty:
+    def test_writable_graphs_round_trip_exactly(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = st.text(min_size=1, max_size=8).filter(
+            lambda s: not any(c in s for c in "\t\n\r") and s == s.strip() and not s.startswith("#")
+        )
+        weights = st.floats(min_value=0.0, max_value=1e300, exclude_min=True, allow_nan=False)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(
+            edges=st.lists(st.tuples(labels, labels, weights), min_size=1, max_size=12),
+            nodes=st.lists(labels, max_size=3),
+            directed=st.booleans(),
+        )
+        def round_trip(edges, nodes, directed):
+            g = build_graph(edges, directed=directed, nodes=nodes)
+            hypothesis.assume(g.edge_count > 0)
+            g2 = parse_edge_list(write_edge_list(g))
+            assert g2.nodes == g.nodes
+            assert g2.directed == g.directed
+            assert [(u, v, w.hex()) for u, v, w in g2.edges()] == [(u, v, w.hex()) for u, v, w in g.edges()]
+
+        round_trip()
 
 
 GEXF_MINIMAL = """<?xml version="1.0" encoding="UTF-8"?>
