@@ -20,12 +20,13 @@ over the text's UTF-8 bytes: numpy finds the line and tab boundaries and
 strips ASCII whitespace (bytes 9-13 and 28-32, what ``str.strip`` removes
 from ASCII text) on offset arrays; labels are interned by a hash of their
 bytes, checked byte for byte, so that only the distinct labels become
-Python strings. Weights written as 1 to 15 ASCII digits, with or without
-a decimal point, are read in arrays, every other weight text by ``float()``. It hands the document to
-the line-by-line reader when that reader would raise (any ParseError, a
-bare CR, no edges), when the text holds a whitespace character above
-U+007F (``str.strip`` removes those, byte stripping would not), and on a
-hash collision, so errors, messages and line numbers are the loop's.
+Python strings. Weights written as 1 to 15 ASCII digits, with or without a
+decimal point, are read in arrays, every other weight text by ``float()``.
+It hands the document to the line-by-line reader when that reader would
+raise (any ParseError, a bare CR, no edges), when the text holds a
+whitespace character above U+007F (``str.strip`` removes those, byte
+stripping would not), and on a hash collision, so errors, messages and
+line numbers are the loop's.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ _UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205
 _BARE_CR = re.compile(r"\r(?!\n)")
 _FNV_PRIME = np.uint64(0x100000001B3)
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact
+_LONG = 64  # labels up to this many bytes are hashed and compared in numpy, a byte a step
 # a label the reader cannot give back (re's \s is str.isspace)
 _UNWRITABLE = re.compile(r"[\t\n\r]|\A[#\s]|\s\Z")
 
@@ -203,8 +205,8 @@ def _intern_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) 
     """The distinct labels among the fields [lo, hi), in order of first
     appearance, and the label index of every field; None on a hash
     collision. Only the distinct labels are decoded to strings."""
-    first, group = first_inverse(_hash_fields(buf, lo, hi))
-    if not _equal_fields(buf, lo, hi, first[group]):
+    first, group = first_inverse(_hash_fields(buf, raw, lo, hi))
+    if not _equal_fields(buf, raw, lo, hi, first[group]):
         return None
     order = np.argsort(first)
     rank = np.empty(order.size, dtype=np.intp)
@@ -213,12 +215,17 @@ def _intern_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) 
     return tuple([raw[a:b].decode() for a, b in zip(starts, ends)]), rank[group]
 
 
-def _hash_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """64-bit FNV-1a hash of each field's bytes, seeded with its length.
-    Step k hashes byte k of the fields longer than k, so the work is linear
-    in the total label bytes."""
-    h = (hi - lo).astype(np.uint64)
-    i = np.flatnonzero(lo < hi)
+def _hash_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each field's bytes. Fields of up to _LONG bytes get
+    FNV-1a seeded with their length: step k hashes byte k of the fields
+    longer than k, so the work is linear in their total bytes. Longer
+    fields get Python's hash of their bytes, so a long label costs no more
+    than _LONG numpy steps."""
+    length = hi - lo
+    h = length.astype(np.uint64)
+    long = np.flatnonzero(length > _LONG)
+    h[long] = [hash(raw[a:b]) & 0xFFFF_FFFF_FFFF_FFFF for a, b in zip(lo[long].tolist(), hi[long].tolist())]
+    i = np.flatnonzero((length > 0) & (length <= _LONG))
     pos, end, running = lo[i], hi[i], h[i]
     while i.size:
         running = (running ^ buf[pos]) * _FNV_PRIME
@@ -230,12 +237,18 @@ def _hash_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return h
 
 
-def _equal_fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> bool:
-    """Whether field i has the same bytes as field other[i], for every i."""
+def _equal_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> bool:
+    """Whether field i has the same bytes as field other[i], for every i;
+    fields longer than _LONG bytes are compared as bytes objects."""
     i = np.flatnonzero(other != np.arange(other.size))
     pos, end, other_pos = lo[i], hi[i], lo[other[i]]
     if np.any(end - pos != hi[other[i]] - other_pos):
         return False
+    long = end - pos > _LONG
+    pairs = zip(pos[long].tolist(), end[long].tolist(), other_pos[long].tolist())
+    if not all(raw[a:b] == raw[c:c + b - a] for a, b, c in pairs):
+        return False
+    pos, end, other_pos = pos[~long], end[~long], other_pos[~long]
     while pos.size:
         if np.any(buf[pos] != buf[other_pos]):
             return False

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -195,12 +196,14 @@ class TestArrayReaderMatchesLoop:
         assert parse_edge_list(text).nodes == ("A", "B\ud800", "C")
 
     @pytest.mark.parametrize("fake_hash", [
-        lambda buf, lo, hi: np.zeros(lo.size, dtype=np.uint64),
-        lambda buf, lo, hi: (hi - lo).astype(np.uint64),
+        lambda buf, raw, lo, hi: np.zeros(lo.size, dtype=np.uint64),
+        lambda buf, raw, lo, hi: (hi - lo).astype(np.uint64),
     ])
-    def test_hash_collision_goes_to_the_loop(self, monkeypatch, fake_hash):
-        text = "undirected\nZ\nab\tcd\t2\ncd\tef\nab\tef\t3\n"
-        reference = naive_build_graph([("ab", "cd", 2.0), ("cd", "ef", 1.0), ("ab", "ef", 3.0)], nodes=["Z"])
+    @pytest.mark.parametrize("size", [2, 100])
+    def test_hash_collision_goes_to_the_loop(self, monkeypatch, fake_hash, size):
+        ab, cd, ef = "a" * size, "a" * (size - 1) + "b", "e" * size
+        text = f"undirected\nZ\n{ab}\t{cd}\t2\n{cd}\t{ef}\n{ab}\t{ef}\t3\n"
+        reference = naive_build_graph([(ab, cd, 2.0), (cd, ef, 1.0), (ab, ef, 3.0)], nodes=["Z"])
         assert_same_graph(io._parse_bytes(text), reference)
         monkeypatch.setattr(io, "_hash_fields", fake_hash)
         assert io._parse_bytes(text) is None
@@ -214,6 +217,14 @@ class TestArrayReaderMatchesLoop:
         assert graph is not None
         assert_same_graph(graph, io._parse_lines(text))
         assert graph.nodes == ("A", long, "B", long[:-1])
+
+    def test_long_label_costs_no_step_per_byte(self):
+        # one numpy step per byte of a 300 kB label took about 8 s
+        long = "x" * 300_000
+        start = time.perf_counter()
+        graph = io._parse_bytes(f"A\t{long}\t2\n{long}\tB\n")
+        assert time.perf_counter() - start < 1.0
+        assert graph.nodes == ("A", long, "B")
 
     def test_decimal_weights_read_as_float_reads_them(self):
         rng = np.random.default_rng(8)
