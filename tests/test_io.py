@@ -18,7 +18,7 @@ from dcmetrics import (
     parse_gexf_minimal,
     write_edge_list,
 )
-from dcmetrics import io
+from dcmetrics import bytereader, io
 from dcmetrics.io import GexfFeatureWarning, ResultTable
 from conftest import assert_same_graph
 from naive import naive_build_graph, naive_to_csv
@@ -160,7 +160,7 @@ def _document(rng, directed, exotic):
 
 
 class TestArrayReaderMatchesLoop:
-    """``parse_edge_list``'s array reader against the line-by-line reader."""
+    """The array reader in ``dcmetrics.bytereader`` against the line-by-line reader."""
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_same_graph_on_seeded_documents(self, directed):
@@ -168,7 +168,7 @@ class TestArrayReaderMatchesLoop:
         seen = set()
         for _ in range(80):
             text = _document(rng, directed, exotic=False)
-            graph = io._parse_bytes(text)
+            graph = bytereader.read_edge_list(text)
             assert graph is not None, text
             assert_same_graph(graph, io._parse_lines(text))
             seen.add(graph.directed)
@@ -180,19 +180,19 @@ class TestArrayReaderMatchesLoop:
         for _ in range(40):
             text = _document(rng, directed, exotic=True)
             if "\x85" in text or "\u2028" in text:
-                assert io._parse_bytes(text) is None
+                assert bytereader.read_edge_list(text) is None
             assert_same_graph(parse_edge_list(text), io._parse_lines(text))
 
     def test_no_break_space_around_label(self):
         text = "undirected\n\u00a0A\u00a0\tB\t2\nB\t\u00a0C\n"
-        assert io._parse_bytes(text) is None
+        assert bytereader.read_edge_list(text) is None
         graph = parse_edge_list(text)
         assert graph.nodes == ("A", "B", "C")
         assert_same_graph(graph, naive_build_graph([("A", "B", 2.0), ("B", "C", 1.0)]))
 
     def test_lone_surrogate_goes_to_the_loop(self):
         text = "A\tB\ud800\t2\nB\ud800\tC\n"
-        assert io._parse_bytes(text) is None
+        assert bytereader.read_edge_list(text) is None
         assert parse_edge_list(text).nodes == ("A", "B\ud800", "C")
 
     @pytest.mark.parametrize("fake_hash", [
@@ -204,16 +204,16 @@ class TestArrayReaderMatchesLoop:
         ab, cd, ef = "a" * size, "a" * (size - 1) + "b", "e" * size
         text = f"undirected\nZ\n{ab}\t{cd}\t2\n{cd}\t{ef}\n{ab}\t{ef}\t3\n"
         reference = naive_build_graph([(ab, cd, 2.0), (cd, ef, 1.0), (ab, ef, 3.0)], nodes=["Z"])
-        assert_same_graph(io._parse_bytes(text), reference)
-        monkeypatch.setattr(io, "_hash_fields", fake_hash)
-        assert io._parse_bytes(text) is None
+        assert_same_graph(bytereader.read_edge_list(text), reference)
+        monkeypatch.setattr(bytereader, "_hash_fields", fake_hash)
+        assert bytereader.read_edge_list(text) is None
         assert_same_graph(parse_edge_list(text), reference)
 
     def test_long_label(self):
         long = "".join(map(chr, np.random.default_rng(3).integers(0x21, 0x7F, size=5000).tolist()))
         long = long.replace("#", "x")
         text = f"A\t{long}\t2.5\n{long}\tB\n{long[:-1]}\t{long}\n"
-        graph = io._parse_bytes(text)
+        graph = bytereader.read_edge_list(text)
         assert graph is not None
         assert_same_graph(graph, io._parse_lines(text))
         assert graph.nodes == ("A", long, "B", long[:-1])
@@ -222,7 +222,7 @@ class TestArrayReaderMatchesLoop:
         # one numpy step per byte of a 300 kB label took about 8 s
         long = "x" * 300_000
         start = time.perf_counter()
-        graph = io._parse_bytes(f"A\t{long}\t2\n{long}\tB\n")
+        graph = bytereader.read_edge_list(f"A\t{long}\t2\n{long}\tB\n")
         assert time.perf_counter() - start < 1.0
         assert graph.nodes == ("A", long, "B")
 
@@ -242,12 +242,12 @@ class TestArrayReaderMatchesLoop:
         ends = np.append(np.flatnonzero(buf == 9), buf.size)
         starts = np.append(0, ends[:-1] + 1)
         good = [i for i, t in enumerate(texts) if float(t) > 0]
-        weights = io._parse_weights(buf, raw, starts[good], ends[good])
+        weights = bytereader._parse_weights(buf, raw, starts[good], ends[good])
         expected = np.array([float(texts[i]) for i in good])
         assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
 
     def test_merged_weight_overflow(self):
-        for parse in (parse_edge_list, io._parse_bytes, io._parse_lines):
+        for parse in (parse_edge_list, bytereader.read_edge_list, io._parse_lines):
             with pytest.raises(GraphBuildError, match="'A' -> 'B'.*non-finite weight inf"):
                 parse("A\tB\t1e308\nB\tA\t1e308")
 
@@ -271,7 +271,7 @@ class TestArrayReaderMatchesLoop:
         "",
     ])
     def test_same_parse_error(self, text):
-        assert io._parse_bytes(text) is None
+        assert bytereader.read_edge_list(text) is None
         with pytest.raises(ParseError) as loop:
             io._parse_lines(text)
         with pytest.raises(ParseError) as array:
@@ -280,16 +280,16 @@ class TestArrayReaderMatchesLoop:
 
     def test_declarations_without_edges(self):
         text = "undirected\nZ\nY\n"
-        assert io._parse_bytes(text) is None
+        assert bytereader.read_edge_list(text) is None
         with pytest.raises(GraphBuildError, match="empty edge list"):
             parse_edge_list(text)
 
     def test_whitespace_tables_match_str_strip(self):
         ascii_space = [c for c in range(128) if chr(c).isspace()]
-        assert np.flatnonzero(io._SPACE).tolist() == ascii_space
+        assert np.flatnonzero(bytereader._SPACE).tolist() == ascii_space
         others = "".join(c for c in map(chr, range(128, 0x110000)) if c.isspace())
-        assert io._UNICODE_SPACE.sub("", others) == ""
-        assert len(io._UNICODE_SPACE.findall("".join(map(chr, range(128, 0x3001))))) == len(others)
+        assert bytereader._UNICODE_SPACE.sub("", others) == ""
+        assert len(bytereader._UNICODE_SPACE.findall("".join(map(chr, range(128, 0x3001))))) == len(others)
 
 
 class TestRoundTripProperty:
