@@ -61,7 +61,7 @@ _UNWRITABLE = re.compile(r"[\t\n\r]|\A[#\s]|\s\Z")
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format above into a Graph."""
-    from .bytereader import read_edge_list  # loaded by the first parse only
+    from .bytereader import read_edge_list  # here, so that commands parsing no file never load it
 
     graph = read_edge_list(text)
     return _parse_lines(text) if graph is None else graph

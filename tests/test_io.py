@@ -126,7 +126,7 @@ def _document(rng, directed, exotic):
     alike: comments, blank lines, optional CRLF ends, the directive,
     repeated declarations, 2- and 3-field lines, weights in several
     spellings, and labels with spaces and non-ASCII letters (with ``exotic``,
-    also "\x85" and U+2028, which send the document to the loop)."""
+    also U+0085 and U+2028, which send the document to the loop)."""
     pool = ["v1", "v2", "a b", "Zürich", "東京", "ß", "x", "long label with spaces", "7", "#in"]
     if exotic:
         pool += ["p\x85q", "r\u2028s"]
@@ -219,7 +219,7 @@ class TestArrayReaderMatchesLoop:
         assert graph.nodes == ("A", long, "B", long[:-1])
 
     def test_long_label_costs_no_step_per_byte(self):
-        # one numpy step per byte of a 300 kB label took about 8 s
+        # a numpy step per byte would take seconds on a label this long
         long = "x" * 300_000
         start = time.perf_counter()
         graph = bytereader.read_edge_list(f"A\t{long}\t2\n{long}\tB\n")
