@@ -14,20 +14,31 @@ counts (the weighted and unweighted columns there are numerically
 identical), so table-reproduction tests compare those columns against the
 unweighted mode.
 
-The path-based metrics copy the CSR once into per-node Python lists of
-neighbours and arc lengths, then run one search per source over them:
-breadth-first when unweighted, Dijkstra with a binary heap when weighted.
-Their visit order, their sigma/delta accumulation order and the weighted
-tie rule (float path lengths compared with ``==``) are fixed, so results
-are reproducible bit for bit; ``tests/naive.py`` keeps a CSR-indexing
-version of each loop that they must match exactly.
+Unweighted, the path-based metrics run one level-synchronous breadth-first
+search over a block of sources at once (Brandes 2001; Kepner & Gilbert
+2011): each level is an array of (source, node) cells, expanded by CSR
+gathers. The results equal, bit for bit, those of one queue-based search
+per source, which ``tests/naive.py`` keeps as the reference:
+
+- a level lists its cells in that loop's queue order: the expansion of the
+  level before, in order, times each CSR row, in order, keeping the first
+  occurrence of each newly reached cell;
+- path counts ``sigma`` are integers, so their sums are exact in any order
+  (below 2**53), and so are closeness's hop-distance sums;
+- each level's dependencies ``delta`` are summed with ``np.bincount``, which
+  adds in array order, over the arcs back to the level above taken last
+  tail first: the loop's stack-pop order;
+- the per-source dependencies are added into the scores in source order.
+
+Weighted, they run Dijkstra with a binary heap per source over per-node
+Python lists, with a fixed visit order and tie rule (float path lengths
+compared with ``==``), so they too are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 
 import numpy as np
 
@@ -48,6 +59,11 @@ __all__ = [
 ]
 
 BASELINES = ("degree", "closeness", "betweenness", "eigenvector", "constraint", "effective-size")
+
+# A breadth-first block takes as many sources as keep sources x (nodes +
+# arcs) within this many cells: that bounds its per-cell arrays and the arc
+# lists it keeps for every level.
+_BLOCK_CELLS = 1 << 20
 
 
 def _require_undirected(graph: Graph, what: str) -> None:
@@ -91,51 +107,134 @@ def _adjacency_lists(graph: Graph) -> tuple[list[list[int]], list[list[float]]]:
     return _row_lists(graph, graph.indices), _row_lists(graph, 1.0 / graph.weights)
 
 
+def _blocks(graph: Graph) -> list[tuple[int, int]]:
+    """The breadth-first sources, cut into blocks lo..hi-1."""
+    size = max(1, _BLOCK_CELLS // (graph.n + graph.indices.size))
+    return [(lo, min(graph.n, lo + size)) for lo in range(0, graph.n, size)]
+
+
+def _bfs(graph: Graph, lo: int, hi: int):
+    """Breadth-first search from the sources lo..hi-1 at once.
+
+    Cell ``b * n + v`` stands for node v as reached from source lo + b.
+    Returns the level of every cell (-1 where unreached), the position of
+    every reached cell within its level, and per level a tuple: its cells,
+    in the queue order of a one-source search; then, for every arc out of
+    them in that order times CSR row order, the position of the arc's tail
+    in the level, its head cell, and the head's level before this level was
+    expanded (-1 where the expansion reaches it first).
+    """
+    n, indptr = graph.n, graph.indptr
+    level = np.full((hi - lo) * n, -1, dtype=np.int64)
+    pos = np.full(level.size, np.iinfo(np.int64).max)
+    nodes = np.arange(lo, hi)
+    cells = np.arange(hi - lo) * n + nodes
+    level[cells] = 0
+    pos[cells] = np.arange(cells.size)
+    levels = []
+    while cells.size:
+        start = indptr[nodes]
+        sizes = indptr[nodes + 1] - start
+        tails = np.repeat(np.arange(nodes.size), sizes)
+        arcs = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+        arcs += np.arange(arcs.size)
+        heads = np.repeat(cells - nodes, sizes)
+        targets = graph.indices[arcs]
+        heads += targets
+        before = level[heads]
+        levels.append((cells, tails, heads, before))
+        # the first arc to reach a cell is the one at the lowest index
+        new = np.flatnonzero(before < 0)
+        first = np.arange(new.size)
+        np.minimum.at(pos, heads[new], first)
+        new = new[pos[heads[new]] == first]
+        cells, nodes = heads[new], targets[new]
+        level[cells] = len(levels)
+        pos[cells] = np.arange(cells.size)
+    return level, pos, levels
+
+
+def _no_path(graph: Graph, s: int, t: int) -> DisconnectedGraphError:
+    return DisconnectedGraphError(
+        f"closeness needs a connected graph: no path from {graph.nodes[s]!r} to {graph.nodes[t]!r}"
+    )
+
+
+def _hop_distance_sums(graph: Graph) -> list[int]:
+    """Sum of hop distances from each source to every node."""
+    n = graph.n
+    sums: list[int] = []
+    for lo, hi in _blocks(graph):
+        level = _bfs(graph, lo, hi)[0].reshape(hi - lo, n)
+        unreached = np.argwhere(level < 0)
+        if unreached.size:
+            b, t = unreached[0].tolist()
+            raise _no_path(graph, lo + b, t)
+        sums += level.sum(axis=1).tolist()
+    return sums
+
+
+def _dijkstra_distance_sums(graph: Graph) -> list[float]:
+    """Sum of shortest-path lengths over arc lengths 1/weight from each source."""
+    n = graph.n
+    nbrs, lengths = _adjacency_lists(graph)
+    sums: list[float] = []
+    for s in range(n):
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for j, length in zip(nbrs[i], lengths[i]):
+                nd = d + length
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+        dist = np.array(dist)
+        unreachable = np.nonzero(np.isinf(dist))[0]
+        if unreachable.size:
+            raise _no_path(graph, s, int(unreachable[0]))
+        sums.append(float(dist.sum()))
+    return sums
+
+
 def closeness_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
     """Normalized closeness (n-1)/sum(distances); weighted mode runs shortest
     paths over arc lengths 1/weight. Rejects disconnected graphs."""
     _require_undirected(graph, "closeness centrality")
-    n = graph.n
-    nbrs, lengths = _adjacency_lists(graph)
-    values = np.empty(n)
-    for s in range(n):
-        dist = [math.inf] * n
-        dist[s] = 0.0
-        if weighted:
-            heap = [(0.0, s)]
-            while heap:
-                d, i = heapq.heappop(heap)
-                if d > dist[i]:
-                    continue
-                for j, length in zip(nbrs[i], lengths[i]):
-                    nd = d + length
-                    if nd < dist[j]:
-                        dist[j] = nd
-                        heapq.heappush(heap, (nd, j))
-        else:
-            queue = deque([s])
-            while queue:
-                i = queue.popleft()
-                nd = dist[i] + 1.0
-                for j in nbrs[i]:
-                    if dist[j] == math.inf:
-                        dist[j] = nd
-                        queue.append(j)
-        dist = np.array(dist)
-        unreachable = np.nonzero(np.isinf(dist))[0]
-        if unreachable.size:
-            raise DisconnectedGraphError(
-                f"closeness needs a connected graph: no path from "
-                f"{graph.nodes[s]!r} to {graph.nodes[int(unreachable[0])]!r}"
-            )
-        values[s] = (n - 1) / float(dist.sum())
+    sums = _dijkstra_distance_sums(graph) if weighted else _hop_distance_sums(graph)
+    values = np.array([(graph.n - 1) / float(total) for total in sums])
     return _vector(graph, "closeness", weighted, values)
 
 
-def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
-    """Non-normalized shortest-path betweenness via pair-dependency
-    accumulation; weighted mode uses arc lengths 1/weight."""
-    _require_undirected(graph, "betweenness centrality")
+def _hop_betweenness(graph: Graph) -> np.ndarray:
+    n = graph.n
+    score = np.zeros(n)
+    for lo, hi in _blocks(graph):
+        level, pos, levels = _bfs(graph, lo, hi)
+        sigma = [np.ones(hi - lo)]
+        for (_, tails, heads, before), (cells, *_) in zip(levels, levels[1:]):
+            new = before < 0
+            sigma.append(np.bincount(pos[heads[new]], weights=sigma[-1][tails[new]], minlength=cells.size))
+        # deepest level first; a cell's terms come from its successors,
+        # summed in order of their queue position, last first
+        delta_cells = np.zeros(level.size)
+        delta = np.zeros(levels[-1][0].size)
+        for depth in range(len(levels) - 1, 0, -1):
+            cells, tails, heads, before = levels[depth]
+            back = np.flatnonzero(before == depth - 1)[::-1]
+            w, v = tails[back], pos[heads[back]]
+            terms = sigma[depth - 1][v] / sigma[depth][w] * (1.0 + delta[w])
+            delta_cells[cells] = delta
+            delta = np.bincount(v, weights=terms, minlength=levels[depth - 1][0].size)
+        # source by source, as the loop adds them (cumsum is sequential)
+        score = np.cumsum(np.vstack((score, delta_cells.reshape(hi - lo, n))), axis=0)[-1]
+    return score
+
+
+def _dijkstra_betweenness(graph: Graph) -> np.ndarray:
     n = graph.n
     nbrs, lengths = _adjacency_lists(graph)
     score = [0.0] * n
@@ -146,46 +245,40 @@ def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVe
         dist = [math.inf] * n
         dist[s] = 0.0
         order: list[int] = []
-        if weighted:
-            seen = [False] * n
-            heap = [(0.0, s)]
-            while heap:
-                d, i = heapq.heappop(heap)
-                if seen[i]:
-                    continue
-                seen[i] = True
-                order.append(i)
-                for j, length in zip(nbrs[i], lengths[i]):
-                    nd = d + length
-                    if nd < dist[j]:
-                        dist[j] = nd
-                        heapq.heappush(heap, (nd, j))
-                        sigma[j] = sigma[i]
-                        preds[j] = [i]
-                    elif nd == dist[j] and not seen[j]:
-                        sigma[j] += sigma[i]
-                        preds[j].append(i)
-        else:
-            queue = deque([s])
-            while queue:
-                i = queue.popleft()
-                order.append(i)
-                nd = dist[i] + 1.0
-                for j in nbrs[i]:
-                    if dist[j] == math.inf:
-                        dist[j] = nd
-                        queue.append(j)
-                    if dist[j] == nd:
-                        sigma[j] += sigma[i]
-                        preds[j].append(i)
+        seen = [False] * n
+        heap = [(0.0, s)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if seen[i]:
+                continue
+            seen[i] = True
+            order.append(i)
+            for j, length in zip(nbrs[i], lengths[i]):
+                nd = d + length
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+                    sigma[j] = sigma[i]
+                    preds[j] = [i]
+                elif nd == dist[j] and not seen[j]:
+                    sigma[j] += sigma[i]
+                    preds[j].append(i)
         delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
                 delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
             if w != s:
                 score[w] += delta[w]
+    return np.array(score)
+
+
+def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
+    """Non-normalized shortest-path betweenness via pair-dependency
+    accumulation; weighted mode uses arc lengths 1/weight."""
+    _require_undirected(graph, "betweenness centrality")
+    score = _dijkstra_betweenness(graph) if weighted else _hop_betweenness(graph)
     # each unordered pair was accumulated from both endpoints
-    return _vector(graph, "betweenness", weighted, np.array(score) / 2.0)
+    return _vector(graph, "betweenness", weighted, score / 2.0)
 
 
 def eigenvector_centrality(

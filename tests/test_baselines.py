@@ -19,6 +19,7 @@ from dcmetrics import (
     eigenvector_centrality,
 )
 from conftest import random_graph
+from dcmetrics import baselines
 from dcmetrics.baselines import _neighbor_weight_maps
 from naive import (
     naive_betweenness,
@@ -288,6 +289,54 @@ class TestPathBaselinesMatchReference:
         with pytest.raises(DisconnectedGraphError) as got:
             closeness_centrality(g, weighted=weighted)
         assert str(got.value) == str(ref.value) == "closeness needs a connected graph: no path from 'A' to 'D'"
+
+
+def _hop_graphs(path_graphs):
+    """The path graphs plus the shapes a breadth-first block must handle:
+    a star, a path, a disconnected graph, isolates and a single node."""
+    rng = np.random.default_rng(32)
+    return path_graphs + [
+        star(7),
+        build_graph([(f"p{i}", f"p{i + 1}", 1.0) for i in range(9)]),
+        build_graph([("A", "B", 1), ("B", "C", 2), ("D", "E", 1), ("E", "F", 1), ("F", "D", 1)]),
+        build_graph([(str(i), str(int(rng.integers(0, i))), 1.0) for i in range(1, 12)], nodes=["x", "3", "y"]),
+        build_graph([("A", "A", 1.0)]),
+    ]
+
+
+def _outcome(fn, g):
+    """The bits of fn(g), or the type and message of the error it raised."""
+    try:
+        return _bits(fn(g)).tolist()
+    except (DisconnectedGraphError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBreadthFirstBlocks:
+    """Unweighted betweenness and closeness, run as breadth-first blocks of
+    sources, against the one-source-at-a-time loops (tests/naive.py), bit
+    for bit, errors included. ``sources`` caps the sources per block, so
+    that several blocks run; None keeps the module's cap."""
+
+    @pytest.mark.parametrize("sources", [None, 1, 3])
+    def test_betweenness_bitwise(self, path_graphs, monkeypatch, sources):
+        for g in _hop_graphs(path_graphs):
+            if sources is not None:
+                monkeypatch.setattr(baselines, "_BLOCK_CELLS", sources * (g.n + g.indices.size))
+            got = _outcome(lambda g: betweenness_centrality(g).values, g)
+            assert got == _outcome(naive_brandes_betweenness, g)
+
+    @pytest.mark.parametrize("sources", [None, 1, 3])
+    def test_closeness_bitwise(self, path_graphs, monkeypatch, sources):
+        outcomes = set()
+        for g in _hop_graphs(path_graphs):
+            if sources is not None:
+                monkeypatch.setattr(baselines, "_BLOCK_CELLS", sources * (g.n + g.indices.size))
+            got = _outcome(lambda g: closeness_centrality(g).values, g)
+            assert got == _outcome(naive_dijkstra_closeness, g)
+            outcomes.add(type(got) is tuple and got[0])
+        # the list covers connected graphs, disconnected ones and n=1
+        assert outcomes == {False, DisconnectedGraphError, ZeroDivisionError}
 
 
 class TestEigenvectorMatchesReference:
