@@ -61,27 +61,35 @@ class RankVector:
 
 
 def _rank_array(values: np.ndarray, tie_rule: str) -> np.ndarray:
-    """Descending ranks; ties share the minimum rank (competition) or the
-    average of their positions. Tie detection is exact float equality.
+    """Descending ranks of a vector, or of each row of a 2-D stack; ties
+    share the minimum rank (competition) or the average of their positions.
+    Tie detection is exact float equality.
 
-    One stable sort by descending score; a run of ties starts wherever a
-    sorted value differs from its predecessor, at 0-based position
-    ``start``, and ends before the next start. Its members rank
-    ``start + 1`` (competition, int64) or ``(start + end + 1) / 2``
-    (average, float64).
+    One stable sort per row by descending score; a run of ties starts at
+    the head of a row or wherever a sorted value differs from its
+    predecessor, at 0-based position ``start`` in its row, and ends before
+    the next start. Its members rank ``start + 1`` (competition, int64) or
+    ``(start + end + 1) / 2`` (average, float64).
     """
-    n = values.size
-    order = np.argsort(-values, kind="stable")
-    s = values[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], n)
+    rows = np.atleast_2d(values)
+    m, n = rows.shape
+    step = max(n, 1)
+    # positions into the flattened stack, each row sorted on its own
+    order = (np.argsort(-rows, axis=1, kind="stable") + np.arange(m)[:, None] * n).ravel()
+    s = rows.ravel()[order]
+    new_run = np.concatenate(([True], s[1:] != s[:-1]))
+    new_run[::step] = True
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], s.size)
+    row_start = starts - starts % step
+    starts, ends = starts - row_start, ends - row_start
     if tie_rule == "competition":
-        run_rank, dtype = starts + 1, np.int64
+        run_rank = starts + 1
     else:
-        run_rank, dtype = (starts + ends + 1) / 2.0, np.float64
-    ranks = np.empty(n, dtype=dtype)
+        run_rank = (starts + ends + 1) / 2.0
+    ranks = np.empty(s.size, dtype=run_rank.dtype)
     ranks[order] = np.repeat(run_rank, ends - starts)
-    return ranks
+    return ranks.reshape(values.shape)
 
 
 def rank(vector: CentralityVector, tie_rule: str = "competition") -> RankVector:
@@ -96,45 +104,37 @@ def rank(vector: CentralityVector, tie_rule: str = "competition") -> RankVector:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Ranked:
-    """Average-tie ranks of one score vector, with the terms of the Spearman
-    formula that depend on that vector alone, so that a vector paired with
-    many others is ranked once."""
-
-    ranks: np.ndarray
-    reversed: np.ndarray  # n + 1 - ranks: equal to another's ranks on perfect reversal
-    dev: np.ndarray  # ranks - mean rank
-    sum_sq: float  # sum(dev * dev)
-    constant: bool
-
-
-def _ranked(values: np.ndarray) -> _Ranked:
-    if values.size < 3:
+def _ranked(stack: np.ndarray) -> np.ndarray:
+    """Average-tie ranks of each row of a 2-D stack of score vectors."""
+    if stack.shape[1] < 3:
         raise ValueError("spearman needs at least 3 nodes")
-    r = _rank_array(np.asarray(values, dtype=np.float64), "average")
-    dev = r - r.mean()
-    return _Ranked(r, r.size + 1.0 - r, dev, float(np.sum(dev * dev)), bool(np.ptp(r) == 0.0))
+    return _rank_array(np.asarray(stack, dtype=np.float64), "average")
 
 
-def _rho(x: _Ranked, y: _Ranked) -> float:
-    if x.constant or y.constant:
+def _rho_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spearman rho of every row of the rank stack ``x`` (m x n) against
+    every row of ``y`` (k x n), as an m x k matrix.
+
+    Perfect agreement and reversal are detected exactly on the ranks.
+    Otherwise rho is Pearson on the ranks: average ranks are multiples of
+    1/2, so the deviations, their squares and their products are exact
+    multiples of 1/4 and all their sums are exact while n**3 < 2**53.
+    """
+    if np.any(np.ptp(x, axis=1) == 0.0) or np.any(np.ptp(y, axis=1) == 0.0):
         raise ValueError("rank correlation is undefined for constant scores")
-    # perfect agreement/reversal detected exactly on the ranks
-    if np.array_equal(x.ranks, y.ranks):
-        return 1.0
-    if np.array_equal(x.ranks, y.reversed):
-        return -1.0
-    # Pearson on the ranks, written so that swapping x and y is bitwise
-    # neutral (elementwise products commute, the summation order is fixed)
-    cov = float(np.sum(x.dev * y.dev))
-    denom = float(np.sqrt(x.sum_sq * y.sum_sq))
-    return max(-1.0, min(1.0, cov / denom))
+    dx = x - x.mean(axis=1, keepdims=True)
+    dy = y - y.mean(axis=1, keepdims=True)
+    cov = np.sum(dx[:, None, :] * dy[None, :, :], axis=2)
+    denom = np.sqrt(np.sum(dx * dx, axis=1)[:, None] * np.sum(dy * dy, axis=1)[None, :])
+    rho = np.clip(cov / denom, -1.0, 1.0)
+    rho[(x[:, None, :] == y[None, :, :]).all(axis=2)] = 1.0
+    rho[(x[:, None, :] == x.shape[1] + 1.0 - y[None, :, :]).all(axis=2)] = -1.0
+    return rho
 
 
 def spearman(x: CentralityVector, y: CentralityVector) -> float:
     """Spearman rank correlation: Pearson correlation of average-tie ranks."""
-    rx = _ranked(x.values)
+    rx = _ranked(x.values[None, :])
     if x.labels == y.labels:
         yv = y.values
     elif set(x.labels) == set(y.labels):
@@ -142,7 +142,7 @@ def spearman(x: CentralityVector, y: CentralityVector) -> float:
         yv = y.values[[idx[lab] for lab in x.labels]]
     else:
         raise ValueError("spearman inputs must score the same node set")
-    return _rho(rx, _ranked(yv))
+    return float(_rho_matrix(rx, _ranked(yv[None, :]))[0, 0])
 
 
 def _baseline_key(metric: str, weighted: bool) -> str:
@@ -198,27 +198,33 @@ def correlation_sweep(
     graph_seeds = seeder.integers(0, 2**63 - 1, size=ensemble_size)
 
     keys = [_baseline_key(m, w) for m, w in SWEEP_BASELINES]
-    sums = {(d, b, a): 0.0 for d in dc_metrics for b in keys for a in alphas}
+    # rho rows are (alpha, dc metric) pairs in loop order, columns baselines;
+    # a repeated alpha adds its rows into the same sums, in that order
+    pairs = [(a, d) for a in alphas for d in dc_metrics]
+    row = {pair: i for i, pair in reversed(list(enumerate(pairs)))}
+    rows = [row[pair] for pair in pairs]
+    sums = np.zeros((len(pairs), len(keys)))
     overlaps: list[tuple[int, str, str, float, float]] = []
 
     for g in range(ensemble_size):
         graph = barabasi_albert(replace(params, seed=int(graph_seeds[g])))
-        # every vector scores graph.nodes in order, so each is ranked once
-        # and paired by position (what spearman does for equal labels)
-        base_ranked = {
-            _baseline_key(m, w): _ranked(baseline(graph, m, weighted=w).values) for m, w in SWEEP_BASELINES
-        }
+        # every vector scores graph.nodes in order, so vectors are paired
+        # by position (what spearman does for equal labels)
+        base = _ranked(np.stack([baseline(graph, m, weighted=w).values for m, w in SWEEP_BASELINES]))
+        dc = []
         for a in alphas:
-            dc_vectors = all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
-            for d in dc_metrics:
-                dc_ranked = _ranked(dc_vectors[d].values)
-                for b in keys:
-                    rho = _rho(dc_ranked, base_ranked[b])
-                    sums[(d, b, a)] += rho
-                    if abs(rho) >= 1.0 - 1e-12:
-                        overlaps.append((g, d, b, a, rho))
+            vectors = all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
+            dc += [vectors[d].values for d in dc_metrics]
+        rho = _rho_matrix(_ranked(np.stack(dc)), base)
+        np.add.at(sums, rows, rho)
+        for i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
+            a, d = pairs[i]
+            overlaps.append((g, d, keys[j], a, float(rho[i, j])))
 
-    means = {k: v / ensemble_size for k, v in sums.items()}
+    means = {
+        (d, b, a): float(sums[row[(a, d)], j]) / ensemble_size
+        for d in dc_metrics for j, b in enumerate(keys) for a in alphas
+    }
     return CorrelationSweep(
         alphas=alphas,
         dc_metrics=tuple(dc_metrics),

@@ -13,10 +13,21 @@ import heapq
 import itertools
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
-from dcmetrics import BuildReport, ConvergenceError, DisconnectedGraphError, Graph, GraphBuildError
+from dcmetrics import (
+    METRICS,
+    BuildReport,
+    ConvergenceError,
+    DisconnectedGraphError,
+    Graph,
+    GraphBuildError,
+    all_distinctiveness,
+    barabasi_albert,
+    baseline,
+)
 from dcmetrics.graph import segment_sum
 
 
@@ -282,6 +293,37 @@ def naive_pairwise_spearman(x, y):
     cov = float(np.sum(dx * dy))
     denom = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
     return max(-1.0, min(1.0, cov / denom))
+
+
+def naive_correlation_sweep(params, ensemble_size, alphas, seed=0, dc_metrics=METRICS):
+    """Bitwise reference for ``stats.correlation_sweep``: its per-pair loop,
+    with ``naive_pairwise_spearman`` for every (graph, alpha, metric,
+    baseline) and the path baselines from the one-source loops below.
+    Returns the sweep's ``means`` and ``perfect_overlaps``."""
+    suite = (("degree", False), ("degree", True), ("betweenness", False), ("closeness", False),
+             ("eigenvector", True), ("constraint", True), ("effective-size", True))
+    path_loops = {"betweenness": naive_brandes_betweenness, "closeness": naive_dijkstra_closeness}
+    alphas = tuple(float(a) for a in alphas)
+    seeder = np.random.default_rng(np.random.SeedSequence(seed))
+    graph_seeds = seeder.integers(0, 2**63 - 1, size=ensemble_size)
+    keys = [f"weighted-{m}" if w else m for m, w in suite]
+    sums = {(d, b, a): 0.0 for d in dc_metrics for b in keys for a in alphas}
+    overlaps = []
+    for g in range(ensemble_size):
+        graph = barabasi_albert(replace(params, seed=int(graph_seeds[g])))
+        base = {
+            key: path_loops[m](graph, w) if m in path_loops else baseline(graph, m, weighted=w).values
+            for key, (m, w) in zip(keys, suite)
+        }
+        for a in alphas:
+            dc_vectors = all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
+            for d in dc_metrics:
+                for b in keys:
+                    rho = naive_pairwise_spearman(dc_vectors[d].values, base[b])
+                    sums[(d, b, a)] += rho
+                    if abs(rho) >= 1.0 - 1e-12:
+                        overlaps.append((g, d, b, a, rho))
+    return {k: v / ensemble_size for k, v in sums.items()}, tuple(overlaps)
 
 
 def _csr_lengths(graph, weighted):

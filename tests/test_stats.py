@@ -11,14 +11,22 @@ from dcmetrics import (
     rank,
     spearman,
 )
-from dcmetrics import baselines, stats
+from dcmetrics.stats import _rank_array, _ranked, _rho_matrix
 from naive import (
-    naive_brandes_betweenness,
-    naive_dijkstra_closeness,
+    naive_correlation_sweep,
     naive_pairwise_spearman,
     naive_rank_array,
     naive_spearman,
 )
+
+# tie-heavy values: signed zeros, subnormals and exact repeats
+TIE_POOL = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 0.3, 1e-300, 5e-324, -5e-324, 2.5, 1e300])
+
+
+def tie_rows(rng, rows, n):
+    """Rows drawn from a prefix of TIE_POOL each, so some rows are constant."""
+    return np.stack([rng.choice(TIE_POOL[: int(rng.integers(1, TIE_POOL.size + 1))], size=n)
+                     for _ in range(rows)])
 
 
 def vec(scores: dict, metric="test") -> CentralityVector:
@@ -70,6 +78,18 @@ class TestRank:
             want = naive_rank_array(values, rule)
             assert r.ranks.dtype == want.dtype == (np.int64 if rule == "competition" else np.float64)
             assert r.ranks.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rule", TIE_RULES)
+    def test_stack_ranks_each_row(self, rule):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 7, 40):
+            stack = tie_rows(rng, 9, n)
+            got = _rank_array(stack, rule)
+            assert got.shape == stack.shape
+            for values, ranks in zip(stack, got):
+                want = naive_rank_array(values, rule)
+                assert ranks.dtype == want.dtype
+                assert ranks.tobytes() == want.tobytes()
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -146,6 +166,37 @@ class TestSpearman:
             assert spearman(x, y) == pytest.approx(naive_spearman(xs, ys), rel=1e-12)
 
 
+class TestRhoMatrix:
+    """Every pair of a rho matrix against the per-pair reference, bit for
+    bit, with constant, equal and reversed rows."""
+
+    def test_matches_per_pair_reference(self):
+        rng = np.random.default_rng(24)
+        checked = set()
+        for n in (3, 9, 40):
+            x = tie_rows(rng, 8, n)
+            y = np.concatenate([tie_rows(rng, 5, n), x[:2], -x[2:4]])
+            varied = lambda stack: stack[np.ptp(_ranked(stack), axis=1) > 0]
+            xs, ys = varied(x), varied(y)
+            rho = _rho_matrix(_ranked(xs), _ranked(ys))
+            assert rho.shape == (len(xs), len(ys))
+            for i, a in enumerate(xs):
+                for j, b in enumerate(ys):
+                    want = naive_pairwise_spearman(a, b)
+                    assert np.float64(rho[i, j]).view(np.int64) == np.float64(want).view(np.int64)
+                    checked.add(want if abs(want) == 1.0 else 0.0)
+        assert checked == {-1.0, 0.0, 1.0}
+
+    def test_constant_row_rejected(self):
+        x = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
+        y = np.array([[3.0, 1.0, 2.0]])
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="constant"):
+                _rho_matrix(_ranked(a), _ranked(b))
+        with pytest.raises(ValueError, match="constant"):
+            naive_pairwise_spearman(x[1], y[0])
+
+
 PARAMS = GeneratorParams(n=30, m_attach=2, weight_low=1, weight_high=20)
 
 
@@ -183,25 +234,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             correlation_sweep(PARAMS, ensemble_size=1, alphas=())
 
-    def test_matches_per_pair_reference(self, monkeypatch):
-        """Ranking each vector once, over the list-based path baselines,
-        gives the sweep of per-pair ranking over the CSR-indexing loops
-        (tests/naive.py), bit for bit."""
+    def test_matches_per_pair_reference(self):
+        """One rank stack and one rho matrix per graph, over the
+        breadth-first path baselines, give the sweep of per-pair ranking
+        over the one-source loops (tests/naive.py), bit for bit."""
         params = GeneratorParams(n=50, m_attach=2, weight_low=1, weight_high=20)
+        for seed in range(3):
+            got = correlation_sweep(params, ensemble_size=3, alphas=(1.0, 2.0, 5.0), seed=seed)
+            means, overlaps = naive_correlation_sweep(params, 3, (1.0, 2.0, 5.0), seed=seed)
+            assert list(got.means) == list(means)
+            assert np.array_equal(np.array(list(got.means.values())).view(np.int64),
+                                  np.array(list(means.values())).view(np.int64))
+            assert got.perfect_overlaps == overlaps
 
-        def run():
-            return [correlation_sweep(params, ensemble_size=3, alphas=(1.0, 2.0, 5.0), seed=s) for s in range(3)]
-
-        fast = run()
-        monkeypatch.setattr(stats, "_ranked", lambda values: np.asarray(values, dtype=np.float64))
-        monkeypatch.setattr(stats, "_rho", naive_pairwise_spearman)
-        for metric, reference in (("betweenness", naive_brandes_betweenness), ("closeness", naive_dijkstra_closeness)):
-            monkeypatch.setitem(
-                baselines._DISPATCH, metric,
-                lambda g, w, metric=metric, reference=reference: baselines._vector(g, metric, w, reference(g, w)),
-            )
-        for a, b in zip(fast, run()):
-            assert list(a.means) == list(b.means)
-            assert np.array_equal(np.array(list(a.means.values())).view(np.int64),
-                                  np.array(list(b.means.values())).view(np.int64))
-            assert a.perfect_overlaps == b.perfect_overlaps
+    def test_repeated_alpha_adds_in_loop_order(self):
+        params = GeneratorParams(n=20, m_attach=2, weight_low=1, weight_high=20)
+        got = correlation_sweep(params, ensemble_size=2, alphas=(1.0, 3.0, 1.0), seed=4)
+        means, overlaps = naive_correlation_sweep(params, 2, (1.0, 3.0, 1.0), seed=4)
+        assert got.means == means and got.perfect_overlaps == overlaps
