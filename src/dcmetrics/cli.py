@@ -133,7 +133,7 @@ def _cmd_compute(args) -> int:
     if args.normalize and base_names:
         raise DCMetricsError("--normalize applies only to d1..d5 (baselines have no analytic bounds)")
 
-    prof = profile(graph)
+    prof = profile(graph) if args.normalize else None  # only the bounds read it
     vectors: list[CentralityVector] = []
     for direction in directions:
         for a in alphas:

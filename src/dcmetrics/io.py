@@ -132,7 +132,9 @@ def write_edge_list(graph: Graph) -> str:
     Emits the directedness directive, then the edges; when the edge order
     alone would not reproduce the graph's node order on re-parse (isolates,
     or nodes first touched out of sequence), every node is declared up
-    front so that parse(write(g)) rebuilds an identical graph.
+    front. parse(write(g)) then has g's nodes in order, its direction and
+    its ``edges()``; the order of neighbours within a CSR row can differ,
+    and with it the last bits of per-row sums such as strengths.
 
     Raises ValueError naming the first node label the reader could not give
     back: one holding a tab, LF or CR, starting with "#", or starting or
