@@ -165,12 +165,12 @@ def _hop_distance_sums(graph: Graph) -> list[int]:
     n = graph.n
     sums: list[int] = []
     for lo, hi in _blocks(graph):
-        level = _bfs(graph, lo, hi)[0].reshape(hi - lo, n)
-        unreached = np.argwhere(level < 0)
+        level = _bfs(graph, lo, hi)[0]
+        unreached = np.flatnonzero(level < 0)
         if unreached.size:
-            b, t = unreached[0].tolist()
+            b, t = divmod(int(unreached[0]), n)
             raise _no_path(graph, lo + b, t)
-        sums += level.sum(axis=1).tolist()
+        sums += level.reshape(hi - lo, n).sum(axis=1).tolist()
     return sums
 
 
@@ -229,8 +229,8 @@ def _hop_betweenness(graph: Graph) -> np.ndarray:
             terms = sigma[depth - 1][v] / sigma[depth][w] * (1.0 + delta[w])
             delta_cells[cells] = delta
             delta = np.bincount(v, weights=terms, minlength=levels[depth - 1][0].size)
-        # source by source, as the loop adds them (cumsum is sequential)
-        score = np.cumsum(np.vstack((score, delta_cells.reshape(hi - lo, n))), axis=0)[-1]
+        for row in delta_cells.reshape(hi - lo, n):  # in source order
+            score += row
     return score
 
 
