@@ -44,7 +44,7 @@ import numpy as np
 
 from .distinctiveness import CentralityVector
 from .errors import ConvergenceError, DisconnectedGraphError
-from .graph import Graph, _entry_rows, is_connected, segment_sum
+from .graph import Graph, _entry_rows, _gather, is_connected, segment_sum
 
 __all__ = [
     "BASELINES",
@@ -124,7 +124,7 @@ def _bfs(graph: Graph, lo: int, hi: int):
     in the level, its head cell, and the head's level before this level was
     expanded (-1 where the expansion reaches it first).
     """
-    n, indptr = graph.n, graph.indptr
+    n = graph.n
     level = np.full((hi - lo) * n, -1, dtype=np.int64)
     pos = np.full(level.size, np.iinfo(np.int64).max)
     nodes = np.arange(lo, hi)
@@ -133,13 +133,9 @@ def _bfs(graph: Graph, lo: int, hi: int):
     pos[cells] = np.arange(cells.size)
     levels = []
     while cells.size:
-        start = indptr[nodes]
-        sizes = indptr[nodes + 1] - start
+        sizes, targets = _gather(graph.indptr, graph.indices, nodes)
         tails = np.repeat(np.arange(nodes.size), sizes)
-        arcs = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-        arcs += np.arange(arcs.size)
         heads = np.repeat(cells - nodes, sizes)
-        targets = graph.indices[arcs]
         heads += targets
         before = level[heads]
         levels.append((cells, tails, heads, before))

@@ -440,7 +440,7 @@ def is_connected(graph: Graph) -> bool:
     slot = np.empty(graph.n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        reached = np.concatenate([_gather(indptr, indices, frontier) for indptr, indices in adjacency])
+        reached = np.concatenate([_gather(indptr, indices, frontier)[1] for indptr, indices in adjacency])
         new = reached[~seen[reached]]
         seen[new] = True
         # keep one copy of each node: of its copies, only the one whose
@@ -450,12 +450,13 @@ def is_connected(graph: Graph) -> bool:
     return bool(seen.all())
 
 
-def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The neighbor lists of ``rows``, concatenated."""
+def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The length of each of the neighbor lists of ``rows``, and the lists
+    concatenated."""
     start = indptr[rows]
     sizes = indptr[rows + 1] - start
     shift = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-    return indices[shift + np.arange(shift.size)]
+    return sizes, indices[shift + np.arange(shift.size)]
 
 
 def validate(graph: Graph) -> ValidationReport:
