@@ -247,8 +247,14 @@ class TestSweep:
                                   np.array(list(means.values())).view(np.int64))
             assert got.perfect_overlaps == overlaps
 
-    def test_repeated_alpha_adds_in_loop_order(self):
-        params = GeneratorParams(n=20, m_attach=2, weight_low=1, weight_high=20)
-        got = correlation_sweep(params, ensemble_size=2, alphas=(1.0, 3.0, 1.0), seed=4)
-        means, overlaps = naive_correlation_sweep(params, 2, (1.0, 3.0, 1.0), seed=4)
-        assert got.means == means and got.perfect_overlaps == overlaps
+    def test_overlaps_and_repeated_alpha_in_loop_order(self):
+        """Small trees give perfect overlaps; a repeated alpha adds its rows
+        into the same means in loop order."""
+        params = GeneratorParams(n=6, m_attach=1, weight_low=1, weight_high=3)
+        got = correlation_sweep(params, ensemble_size=6, alphas=(1.0, 3.0, 1.0), seed=1)
+        means, overlaps = naive_correlation_sweep(params, 6, (1.0, 3.0, 1.0), seed=1)
+        assert list(got.means) == list(means)
+        assert np.array_equal(np.array(list(got.means.values())).view(np.int64),
+                              np.array(list(means.values())).view(np.int64))
+        assert got.perfect_overlaps == overlaps
+        assert {rho for *_, rho in overlaps} == {-1.0, 1.0}
