@@ -126,7 +126,7 @@ def _bfs(graph: Graph, lo: int, hi: int):
     """
     n = graph.n
     level = np.full((hi - lo) * n, -1, dtype=np.int64)
-    pos = np.full(level.size, np.iinfo(np.int64).max)
+    pos = np.full(level.size, np.iinfo(np.int64).max)  # above any arc index: see np.minimum.at
     nodes = np.arange(lo, hi)
     cells = np.arange(hi - lo) * n + nodes
     level[cells] = 0
