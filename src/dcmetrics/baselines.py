@@ -198,10 +198,11 @@ def _dijkstra_distance_sums(graph: Graph) -> list[float]:
 
 def closeness_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
     """Normalized closeness (n-1)/sum(distances); weighted mode runs shortest
-    paths over arc lengths 1/weight. Rejects disconnected graphs."""
+    paths over arc lengths 1/weight. Rejects disconnected graphs. The one
+    node of a one-node graph scores 0.0, as in networkx."""
     _require_undirected(graph, "closeness centrality")
     sums = _dijkstra_distance_sums(graph) if weighted else _hop_distance_sums(graph)
-    values = np.array([(graph.n - 1) / float(total) for total in sums])
+    values = np.array([(graph.n - 1) / float(total) if total else 0.0 for total in sums])
     return _vector(graph, "closeness", weighted, values)
 
 

@@ -142,28 +142,12 @@ def _adjacency_view(graph: Graph, direction: str):
     For 'in', row i lists senders j of arcs j->i; the penalising quantities
     are the sender's out-degree and out-strength. For 'out', row i lists
     receivers j; the quantities are the receiver's in-degree/in-strength.
+    'undirected' reads like 'out': an undirected graph's in-arrays are its
+    out-arrays.
     """
-    if direction == "undirected":
-        return graph.indptr, graph.indices, graph.weights, graph.out_degrees(), graph.indptr, graph.weights
     if direction == "in":
-        assert graph.in_indptr is not None
-        return (
-            graph.in_indptr,
-            graph.in_indices,
-            graph.in_weights,
-            graph.out_degrees(),
-            graph.indptr,
-            graph.weights,
-        )
-    assert graph.in_indptr is not None
-    return (
-        graph.indptr,
-        graph.indices,
-        graph.weights,
-        graph.in_degrees(),
-        graph.in_indptr,
-        graph.in_weights,
-    )
+        return graph.in_indptr, graph.in_indices, graph.in_weights, graph.out_degrees(), graph.indptr, graph.weights
+    return graph.indptr, graph.indices, graph.weights, graph.in_degrees(), graph.in_indptr, graph.in_weights
 
 
 def all_distinctiveness(

@@ -3,14 +3,16 @@
 A graph is a set of labelled nodes plus positive-weight edges (or arcs).
 Internally the adjacency is stored in CSR form (index pointers, neighbor
 indices, weights) so that metric kernels can run vectorised over numpy
-arrays; node labels are the only identity exposed to callers.
+arrays; node labels are the only identity exposed to callers. Every graph
+has an out- and an in-adjacency; on an undirected graph they are the same
+arrays, so code reads either side without asking for the direction.
 
 Every graph is built by one array pass, ``csr_from_arrays``: integer
 endpoint and weight arrays in, CSR out, with no per-edge Python.
-``graph_from_arrays`` wraps it with the check on merged weights, and every
-builder ends there: ``build_graph`` after checking and interning labels,
-the edge-list reader after interning the label bytes of a file, and the
-generator with its integer arrays.
+``graph_from_arrays`` wraps it with the checks for an empty edge list and
+on merged weights, and every builder ends there: ``build_graph`` after
+checking and interning labels, the edge-list readers after interning the
+labels they have checked, and the generator with its integer arrays.
 The build guarantees:
 
 - node order is first appearance (pre-declared nodes, then endpoints,
@@ -27,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -48,10 +50,11 @@ class BuildReport:
 class Graph:
     """Weighted graph, directed or undirected, immutable after construction.
 
-    ``indptr``/``indices``/``weights`` hold the out-adjacency in CSR form;
-    for undirected graphs every edge appears in both endpoint rows. Directed
-    graphs additionally materialise the in-adjacency (``in_indptr`` ...),
-    where row i lists the senders j of arcs j -> i with weight w_ji.
+    ``indptr``/``indices``/``weights`` hold the out-adjacency in CSR form,
+    ``in_indptr``/``in_indices``/``in_weights`` the in-adjacency, where row
+    i lists the senders j of arcs j -> i with weight w_ji. An undirected
+    graph stores every edge in both endpoint rows, and its in-adjacency is
+    its out-adjacency: the same three arrays, not a copy.
     """
 
     nodes: tuple[str, ...]
@@ -59,9 +62,9 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    in_indptr: np.ndarray | None = None
-    in_indices: np.ndarray | None = None
-    in_weights: np.ndarray | None = None
+    in_indptr: np.ndarray
+    in_indices: np.ndarray
+    in_weights: np.ndarray
     build_report: BuildReport = field(default_factory=BuildReport)
 
     @property
@@ -98,9 +101,6 @@ class Graph:
         return np.diff(self.indptr)
 
     def in_degrees(self) -> np.ndarray:
-        if not self.directed:
-            return np.diff(self.indptr)
-        assert self.in_indptr is not None
         return np.diff(self.in_indptr)
 
     def isolate_mask(self) -> np.ndarray:
@@ -135,16 +135,16 @@ class Graph:
 @dataclass(frozen=True, eq=False)
 class DegreeProfile:
     """Per-node degrees and strengths plus the global quantities every
-    metric needs: node count, extremal weights, total weight."""
+    metric needs: node count, extremal weights, total weight. On an
+    undirected graph each ``in_*`` array is its ``out_*`` array, the
+    degree and strength of every node."""
 
     labels: tuple[str, ...]
     directed: bool
-    degree: np.ndarray | None
-    strength: np.ndarray | None
-    out_degree: np.ndarray | None
-    in_degree: np.ndarray | None
-    out_strength: np.ndarray | None
-    in_strength: np.ndarray | None
+    out_degree: np.ndarray
+    in_degree: np.ndarray
+    out_strength: np.ndarray
+    in_strength: np.ndarray
     n: int
     edge_count: int
     min_weight: float
@@ -152,28 +152,20 @@ class DegreeProfile:
     total_weight: float
 
     def degree_map(self) -> dict[str, int]:
-        deg = self.degree if not self.directed else self.out_degree + self.in_degree
+        deg = self.out_degree + self.in_degree if self.directed else self.out_degree
         return {lab: int(d) for lab, d in zip(self.labels, deg)}
 
     def strength_map(self) -> dict[str, float]:
-        s = self.strength if not self.directed else self.out_strength + self.in_strength
+        s = self.out_strength + self.in_strength if self.directed else self.out_strength
         return {lab: float(v) for lab, v in zip(self.labels, s)}
 
 
-class EdgeColumns(NamedTuple):
-    """Edges as parallel columns, the form the edge-list parser collects."""
-
-    sources: Sequence[str]
-    targets: Sequence[str]
-    weights: np.ndarray
-
-
 def build_graph(
-    edges: Iterable[Edge] | EdgeColumns,
+    edges: Iterable[Edge],
     directed: bool = False,
     nodes: Sequence[str] = (),
 ) -> Graph:
-    """Build a graph from (source, target, weight) triples or EdgeColumns.
+    """Build a graph from (source, target, weight) triples.
 
     Checks and interns the labels, then builds the adjacency with
     ``csr_from_arrays``. Node order is first appearance: pre-declared
@@ -187,16 +179,12 @@ def build_graph(
     label or a weight that is not strictly positive and finite; also on an
     empty edge list and on parallel edges whose sum is not finite.
     """
-    if isinstance(edges, EdgeColumns):
-        sources, targets = edges.sources, edges.targets
-        w = np.asarray(edges.weights, dtype=np.float64)
-    else:
-        edges = list(edges)
-        try:
-            sources, targets, weights = zip(*edges, strict=True) if edges else ((), (), ())
-            w = np.fromiter(map(float, weights), dtype=np.float64, count=len(weights))
-        except (TypeError, ValueError, OverflowError):
-            _raise_first_error(nodes, edges)
+    edges = list(edges)
+    try:
+        sources, targets, weights = zip(*edges, strict=True) if edges else ((), (), ())
+        w = np.fromiter(map(float, weights), dtype=np.float64, count=len(weights))
+    except (TypeError, ValueError, OverflowError):
+        _raise_first_error(nodes, edges)
     nodes = tuple(nodes)
     try:
         labels, src, dst = _intern(nodes, sources, targets)
@@ -205,8 +193,6 @@ def build_graph(
         labels_ok = False
     if not labels_ok or not np.all((w > 0.0) & (w < np.inf)):
         _raise_first_error(nodes, zip(sources, targets, w))
-    if not w.size:
-        raise GraphBuildError("empty edge list: a graph needs at least one edge")
     return graph_from_arrays(labels, src, dst, w, directed)
 
 
@@ -215,7 +201,10 @@ def graph_from_arrays(
 ) -> Graph:
     """Graph on ``labels`` from endpoint indices into ``labels`` and valid
     weights: ``csr_from_arrays``, then a GraphBuildError if parallel edges
-    merged to a weight that is not finite."""
+    merged to a weight that is not finite. Raises GraphBuildError on an
+    empty edge list."""
+    if not w.size:
+        raise GraphBuildError("empty edge list: a graph needs at least one edge")
     graph = Graph(labels, directed, *csr_from_arrays(src, dst, w, len(labels), directed))
     bad = np.flatnonzero(~np.isfinite(graph.weights))
     if bad.size:
@@ -272,14 +261,16 @@ def _raise_first_error(nodes: Iterable[object], edges: Iterable[object]) -> NoRe
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, directed: bool) -> tuple:
     """Adjacency of nodes 0..n-1 from arrays of edge endpoints and weights,
     with the guarantees in the module docstring. Returns the Graph fields
-    after ``nodes`` and ``directed``: out-CSR, in-CSR (None when undirected)
-    and build report. Endpoints must lie in 0..n-1 and weights be valid.
+    after ``nodes`` and ``directed``: out-CSR, in-CSR (the same arrays
+    again when undirected) and build report. Endpoints must lie in 0..n-1
+    and weights be valid.
     """
     u, v, merged, first, report = _merge_parallel(src, dst, w, n, directed)
     if directed:
         return (*_csr_rows((u,), (v,), merged, first, n), *_csr_rows((v,), (u,), merged, first, n), report)
     # every undirected edge is stored in both endpoint rows
-    return (*_csr_rows((u, v), (v, u), merged, first, n), None, None, None, report)
+    csr = _csr_rows((u, v), (v, u), merged, first, n)
+    return (*csr, *csr, report)
 
 
 def _merge_parallel(
@@ -351,39 +342,23 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 def profile(graph: Graph) -> DegreeProfile:
-    """Compute the degree/strength profile of a graph in one pass."""
+    """Compute the degree/strength profile of a graph in one pass.
+
+    Raises ValueError on a graph without edges, which only self-loops can
+    leave: its extremal weights do not exist."""
+    if not graph.weights.size:
+        raise ValueError("graph has no edges left after self-loops were dropped")
+    out_degree, out_strength = graph.out_degrees(), segment_sum(graph.weights, graph.indptr)
+    in_degree, in_strength = out_degree, out_strength  # the same arrays when undirected
     if graph.directed:
-        out_deg = graph.out_degrees()
-        in_deg = graph.in_degrees()
-        out_str = segment_sum(graph.weights, graph.indptr)
-        assert graph.in_indptr is not None and graph.in_weights is not None
-        in_str = segment_sum(graph.in_weights, graph.in_indptr)
-        return DegreeProfile(
-            labels=graph.nodes,
-            directed=True,
-            degree=None,
-            strength=None,
-            out_degree=out_deg,
-            in_degree=in_deg,
-            out_strength=out_str,
-            in_strength=in_str,
-            n=graph.n,
-            edge_count=graph.edge_count,
-            min_weight=float(graph.weights.min()),
-            max_weight=float(graph.weights.max()),
-            total_weight=graph.total_weight(),
-        )
-    deg = graph.out_degrees()
-    strength = segment_sum(graph.weights, graph.indptr)
+        in_degree, in_strength = graph.in_degrees(), segment_sum(graph.in_weights, graph.in_indptr)
     return DegreeProfile(
         labels=graph.nodes,
-        directed=False,
-        degree=deg,
-        strength=strength,
-        out_degree=None,
-        in_degree=None,
-        out_strength=None,
-        in_strength=None,
+        directed=graph.directed,
+        out_degree=out_degree,
+        in_degree=in_degree,
+        out_strength=out_strength,
+        in_strength=in_strength,
         n=graph.n,
         edge_count=graph.edge_count,
         min_weight=float(graph.weights.min()),
@@ -433,7 +408,7 @@ def is_connected(graph: Graph) -> bool:
     if graph.n <= 1:
         return True
     adjacency = [(graph.indptr, graph.indices)]
-    if graph.directed:
+    if graph.directed:  # undirected: the in-adjacency is this one
         adjacency.append((graph.in_indptr, graph.in_indices))
     seen = np.zeros(graph.n, dtype=bool)
     seen[0] = True

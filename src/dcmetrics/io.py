@@ -43,7 +43,7 @@ import numpy as np
 
 from .distinctiveness import CentralityVector
 from .errors import ParseError
-from .graph import EdgeColumns, Graph, build_graph
+from .graph import Graph, _intern, build_graph, graph_from_arrays
 
 __all__ = [
     "parse_edge_list",
@@ -121,9 +121,10 @@ def _parse_lines(text: str) -> Graph:
         weights.append(w)
     if not sources and not declared:
         raise ParseError("document contains no edges")
-    columns = EdgeColumns(sources, targets, np.array(weights, dtype=np.float64))
+    w = np.array(weights, dtype=np.float64)
     del weights  # frees the float objects before the build's peak
-    return build_graph(columns, directed=directed, nodes=declared)
+    labels, src, dst = _intern(tuple(declared), sources, targets)
+    return graph_from_arrays(labels, src, dst, w, directed)
 
 
 def write_edge_list(graph: Graph) -> str:

@@ -84,8 +84,9 @@ def naive_build_graph(edges, directed=False, nodes=()):
         weights = np.array([w for row in rows for w in row.values()], dtype=np.float64)
         return indptr, indices, weights
 
-    inn = to_csr(in_adj) if directed else (None, None, None)
-    return Graph(tuple(labels), directed, *to_csr(out_adj), *inn,
+    out = to_csr(out_adj)
+    # an undirected graph's in-adjacency is its out-adjacency
+    return Graph(tuple(labels), directed, *out, *(to_csr(in_adj) if directed else out),
                  build_report=BuildReport(merged_edges=merged, self_loops_dropped=self_loops))
 
 
@@ -356,7 +357,7 @@ def naive_dijkstra_closeness(graph, weighted=False):
                 f"closeness needs a connected graph: no path from "
                 f"{graph.nodes[s]!r} to {graph.nodes[int(unreachable[0])]!r}"
             )
-        values[s] = (n - 1) / float(dist.sum())
+        values[s] = (n - 1) / float(dist.sum()) if n > 1 else 0.0
     return values
 
 

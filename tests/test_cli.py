@@ -59,6 +59,13 @@ class TestCompute:
         assert code == 1
         assert "normalize" in err
 
+    def test_normalize_self_loops_only_is_data_error(self, capsys, tmp_path):
+        loops = tmp_path / "loops.tsv"
+        loops.write_text("A\tA\t1\n")
+        code, _, err = run(capsys, "compute", "--input", str(loops), "--metrics", "d1", "--normalize")
+        assert code == 1
+        assert "graph has no edges left after self-loops were dropped" in err
+
     def test_baselines_group(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--dataset", "toy-undirected", "--metrics", "baselines",

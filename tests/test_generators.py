@@ -34,7 +34,7 @@ class TestTopology:
     def test_degree_sum(self):
         for seed in (0, 7, 99):
             g = barabasi_albert(GeneratorParams(n=40, m_attach=3, seed=seed))
-            assert profile(g).degree.sum() == 2 * g.edge_count
+            assert profile(g).out_degree.sum() == 2 * g.edge_count
 
     def test_connected(self):
         from dcmetrics import is_connected

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dcmetrics import GraphBuildError, ParseError, build_graph, is_connected, parse_edge_list, profile, validate
+from dcmetrics.datasets import DATASET_NAMES, builtin_dataset
 from dcmetrics.graph import first_inverse
 from conftest import assert_same_graph, random_graph
 from naive import naive_build_graph, naive_edges, naive_is_connected
@@ -88,7 +89,7 @@ class TestProfile:
 
     def test_degree_sum_is_twice_edge_count(self, toy):
         prof = profile(toy)
-        assert prof.degree.sum() == 2 * toy.edge_count
+        assert prof.out_degree.sum() == 2 * toy.edge_count
 
     def test_directed_degree_sums_match_arcs(self, toy_directed):
         prof = profile(toy_directed)
@@ -103,7 +104,7 @@ class TestProfile:
             if directed:
                 assert prof.out_degree.sum() == prof.in_degree.sum() == g.edge_count
             else:
-                assert prof.degree.sum() == 2 * g.edge_count
+                assert prof.out_degree.sum() == 2 * g.edge_count
             assert prof.min_weight <= prof.max_weight
             assert prof.total_weight >= g.edge_count * prof.min_weight
 
@@ -118,6 +119,36 @@ class TestProfile:
             assert p1.degree_map() == p2.degree_map()
             assert p1.strength_map() == p2.strength_map()
             assert p1.total_weight == p2.total_weight
+
+    @pytest.mark.parametrize("name", ["toy-undirected", "florentine", "zachary"])
+    def test_undirected_in_arrays_are_out_arrays(self, name):
+        prof = profile(builtin_dataset(name))
+        assert prof.in_degree is prof.out_degree
+        assert prof.in_strength is prof.out_strength
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_degree_and_strength_maps_on_datasets(self, name):
+        g = builtin_dataset(name)
+        degree, strength = DATASET_DEGREES[name]
+        prof = profile(g)
+        got_degree, got_strength = prof.degree_map(), prof.strength_map()
+        assert list(got_degree.items()) == list(zip(g.nodes, degree))
+        assert list(got_strength.items()) == list(zip(g.nodes, map(float, strength)))
+        assert all(type(d) is int for d in got_degree.values())
+        assert all(type(s) is float for s in got_strength.values())
+
+
+# degree and strength of every node of each built-in dataset, in node order
+DATASET_DEGREES = {
+    "toy-undirected": ([2, 4, 1, 2, 2, 1], [7, 11, 5, 7, 7, 5]),
+    "toy-directed": ([3, 5, 1, 3, 3, 1], [13, 17, 5, 10, 10, 5]),
+    "florentine": ([1, 6, 3, 3, 4, 2, 3, 3, 3, 2, 1, 3, 4, 1, 1], [1, 6, 3, 3, 4, 2, 3, 3, 3, 2, 1, 3, 4, 1, 1]),
+    "zachary": (
+        [16, 9, 10, 6, 3, 4, 4, 4, 5, 2, 3, 1, 2, 5, 2, 2, 2, 2, 2, 3, 2, 2, 2, 5, 3, 3, 2, 4, 3, 4, 4, 6, 12, 17],
+        [42, 29, 33, 18, 8, 14, 13, 13, 17, 3, 8, 3, 4, 17, 5, 7, 6, 3, 3, 5, 4, 4, 5, 21, 7, 14, 6, 13, 6, 13, 11, 21,
+         38, 48],
+    ),
+}
 
 
 class TestValidate:
