@@ -30,9 +30,10 @@ per source, which ``tests/naive.py`` keeps as the reference:
   tail first: the loop's stack-pop order;
 - the per-source dependencies are added into the scores in source order.
 
-Weighted, they run Dijkstra with a binary heap per source over per-node
-Python lists, with a fixed visit order and tie rule (float path lengths
-compared with ``==``), so they too are reproducible bit for bit.
+Weighted, both run one Dijkstra loop, ``_dijkstra``, with a binary heap per
+source over per-node Python lists, with a fixed visit order and tie rule
+(float path lengths compared with ``==``), so they too are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -170,25 +171,44 @@ def _hop_distance_sums(graph: Graph) -> list[int]:
     return sums
 
 
+def _dijkstra(nbrs: list[list[int]], lengths: list[list[float]], s: int):
+    """Dijkstra from source s over arc lengths: the nodes in the order they
+    are settled, and per node its distance, its shortest-path count and its
+    predecessors on shortest paths. Ties are exact ``==`` on path lengths."""
+    n = len(nbrs)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    sigma = [0.0] * n
+    sigma[s] = 1.0
+    dist = [math.inf] * n
+    dist[s] = 0.0
+    order: list[int] = []
+    seen = [False] * n
+    heap = [(0.0, s)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if seen[i]:
+            continue
+        seen[i] = True
+        order.append(i)
+        for j, length in zip(nbrs[i], lengths[i]):
+            nd = d + length
+            if nd < dist[j]:
+                dist[j] = nd
+                heapq.heappush(heap, (nd, j))
+                sigma[j] = sigma[i]
+                preds[j] = [i]
+            elif nd == dist[j] and not seen[j]:
+                sigma[j] += sigma[i]
+                preds[j].append(i)
+    return order, dist, sigma, preds
+
+
 def _dijkstra_distance_sums(graph: Graph) -> list[float]:
     """Sum of shortest-path lengths over arc lengths 1/weight from each source."""
-    n = graph.n
     nbrs, lengths = _adjacency_lists(graph)
     sums: list[float] = []
-    for s in range(n):
-        dist = [math.inf] * n
-        dist[s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if d > dist[i]:
-                continue
-            for j, length in zip(nbrs[i], lengths[i]):
-                nd = d + length
-                if nd < dist[j]:
-                    dist[j] = nd
-                    heapq.heappush(heap, (nd, j))
-        dist = np.array(dist)
+    for s in range(graph.n):
+        dist = np.array(_dijkstra(nbrs, lengths, s)[1])
         unreachable = np.nonzero(np.isinf(dist))[0]
         if unreachable.size:
             raise _no_path(graph, s, int(unreachable[0]))
@@ -236,30 +256,7 @@ def _dijkstra_betweenness(graph: Graph) -> np.ndarray:
     nbrs, lengths = _adjacency_lists(graph)
     score = [0.0] * n
     for s in range(n):
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0.0] * n
-        sigma[s] = 1.0
-        dist = [math.inf] * n
-        dist[s] = 0.0
-        order: list[int] = []
-        seen = [False] * n
-        heap = [(0.0, s)]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if seen[i]:
-                continue
-            seen[i] = True
-            order.append(i)
-            for j, length in zip(nbrs[i], lengths[i]):
-                nd = d + length
-                if nd < dist[j]:
-                    dist[j] = nd
-                    heapq.heappush(heap, (nd, j))
-                    sigma[j] = sigma[i]
-                    preds[j] = [i]
-                elif nd == dist[j] and not seen[j]:
-                    sigma[j] += sigma[i]
-                    preds[j].append(i)
+        order, _, sigma, preds = _dijkstra(nbrs, lengths, s)
         delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:

@@ -30,7 +30,7 @@ from .errors import DCMetricsError
 from .generators import GeneratorParams, barabasi_albert
 from .graph import Graph, profile
 from .io import ResultTable, parse_edge_list, parse_gexf_minimal, write_edge_list
-from .stats import correlation_sweep, rank, spearman
+from .stats import _ranked, _rho_matrix, correlation_sweep, rank, spearman
 from .svgchart import render_line_chart
 
 
@@ -46,10 +46,8 @@ def _default_seed(value: int | None) -> int:
     return 0
 
 
-def _load_graph(args) -> Graph:
-    if getattr(args, "dataset", None):
-        return builtin_dataset(args.dataset)
-    path = Path(args.input)
+def _read_graph(path: str) -> Graph:
+    path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -57,6 +55,10 @@ def _load_graph(args) -> Graph:
     if path.suffix.lower() == ".gexf" or text.lstrip().startswith("<"):
         return parse_gexf_minimal(text)
     return parse_edge_list(text)
+
+
+def _load_graph(args) -> Graph:
+    return builtin_dataset(args.dataset) if args.dataset else _read_graph(args.input)
 
 
 def _emit(args, text: str) -> None:
@@ -67,33 +69,28 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+# every token --metrics accepts, and the metrics it stands for
+_GROUPS = {
+    **{name: (name,) for name in METRICS + BASELINES},
+    "dc": METRICS,
+    "baselines": BASELINES,
+    "all": METRICS + BASELINES,
+}
+
+
 def _parse_metrics(spec: str) -> tuple[list[str], list[str]]:
-    dc: list[str] = []
-    base: list[str] = []
+    names: list[str] = []
     for token in spec.split(","):
         token = token.strip().lower()
-        if not token:
-            continue
-        if token == "dc":
-            dc.extend(m for m in METRICS if m not in dc)
-        elif token == "baselines":
-            base.extend(b for b in BASELINES if b not in base)
-        elif token == "all":
-            dc.extend(m for m in METRICS if m not in dc)
-            base.extend(b for b in BASELINES if b not in base)
-        elif token in METRICS:
-            if token not in dc:
-                dc.append(token)
-        elif token in BASELINES:
-            if token not in base:
-                base.append(token)
-        else:
+        if token and token not in _GROUPS:
             raise DCMetricsError(
                 f"unknown metric {token!r}; choose from {', '.join(METRICS + BASELINES)}, dc, baselines, all"
             )
-    if not dc and not base:
+        names += _GROUPS.get(token, ())
+    names = list(dict.fromkeys(names))  # first appearance wins
+    if not names:
         raise DCMetricsError("no metrics requested")
-    return dc, base
+    return [m for m in names if m in METRICS], [b for b in names if b in BASELINES]
 
 
 def _parse_alphas(spec: str) -> list[float]:
@@ -116,13 +113,19 @@ def _directions(graph: Graph, choice: str) -> list[str]:
     return [choice]
 
 
-def _single_direction(graph: Graph, choice: str, command: str) -> str:
-    """Commands that score one vector need an explicit side on directed input."""
-    if choice == "auto":
-        if graph.directed:
-            raise DCMetricsError(f"directed graph: {command} needs --direction in or --direction out")
-        return "undirected"
-    return _directions(graph, choice)[0]
+def _score(graph: Graph, dc_names, base_names, alphas, directions, args):
+    """Score vectors in output order: the DC metrics for each direction,
+    then each alpha, in the order asked; then the baselines."""
+    if dc_names:
+        for direction in directions:
+            for a in alphas:
+                computed = all_distinctiveness(
+                    graph, alpha=a, direction=direction,
+                    relaxed_alpha=getattr(args, "relaxed_alpha", False), metrics=tuple(dc_names),
+                )
+                yield from (computed[name] for name in dc_names)
+    for name in base_names:
+        yield baseline(graph, name, weighted=args.weighted)
 
 
 def _cmd_compute(args) -> int:
@@ -133,25 +136,15 @@ def _cmd_compute(args) -> int:
     if args.normalize and base_names:
         raise DCMetricsError("--normalize applies only to d1..d5 (baselines have no analytic bounds)")
 
-    prof = profile(graph) if args.normalize else None  # only the bounds read it
-    vectors: list[CentralityVector] = []
-    for direction in directions:
-        for a in alphas:
-            computed = all_distinctiveness(
-                graph, alpha=a, direction=direction, relaxed_alpha=args.relaxed_alpha,
-                metrics=tuple(dc_names),
-            ) if dc_names else {}
-            for name in dc_names:
-                vec = computed[name]
-                if args.normalize:
-                    rec = bounds(name, prof.n, prof.min_weight, prof.max_weight, a,
-                                 relaxed_alpha=args.relaxed_alpha)
-                    vec = normalize(vec, rec)
-                vectors.append(vec)
-    for name in base_names:
-        vectors.append(baseline(graph, name, weighted=args.weighted))
-
-    table = ResultTable.from_vectors(vectors)
+    vectors = _score(graph, dc_names, base_names, alphas, directions, args)
+    if args.normalize:
+        prof = profile(graph)  # only the bounds read it
+        vectors = (
+            normalize(v, bounds(v.metric, prof.n, prof.min_weight, prof.max_weight, v.alpha,
+                                relaxed_alpha=args.relaxed_alpha))
+            for v in vectors
+        )
+    table = ResultTable.from_vectors(list(vectors))
     _emit(args, table.to_json() if args.format == "json" else table.to_csv())
     return 0
 
@@ -162,17 +155,21 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _one_vector(graph: Graph, dc_names, base_names, args, command: str) -> CentralityVector:
+    """The one metric of a single-metric command, scored on ``graph``: a
+    DC metric needs an explicit side on directed input."""
+    if dc_names and graph.directed and args.direction == "auto":
+        raise DCMetricsError(f"directed graph: {command} needs --direction in or --direction out")
+    (vec,) = _score(graph, dc_names, base_names, [args.alpha], _directions(graph, args.direction), args)
+    return vec
+
+
 def _cmd_rank(args) -> int:
     graph = _load_graph(args)
     dc_names, base_names = _parse_metrics(args.metric)
     if len(dc_names) + len(base_names) != 1:
         raise DCMetricsError("rank takes exactly one metric")
-    if dc_names:
-        direction = _single_direction(graph, args.direction, "rank")
-        vec = all_distinctiveness(graph, alpha=args.alpha, direction=direction,
-                                  metrics=(dc_names[0],))[dc_names[0]]
-    else:
-        vec = baseline(graph, base_names[0], weighted=args.weighted)
+    vec = _one_vector(graph, dc_names, base_names, args, "rank")
     ranking = rank(vec, tie_rule=args.tie_rule)
     order = np.argsort(ranking.ranks, kind="stable")  # ties keep node order
     labels = [ranking.labels[i] for i in order.tolist()]
@@ -185,37 +182,24 @@ def _cmd_rank(args) -> int:
 def _cmd_compare(args) -> int:
     graph = _load_graph(args)
     dc_names, base_names = _parse_metrics(args.metrics)
-    vectors: list[CentralityVector] = []
-    names: list[str] = []
     if args.input2:
-        other = parse_edge_list(Path(args.input2).read_text(encoding="utf-8-sig"))
         if len(dc_names) + len(base_names) != 1:
             raise DCMetricsError("comparing two graphs takes exactly one metric")
-        for g, tag in ((graph, "a"), (other, "b")):
-            if dc_names:
-                direction = _single_direction(g, args.direction, "two-graph compare")
-                vec = all_distinctiveness(g, alpha=args.alpha, direction=direction,
-                                          metrics=(dc_names[0],))[dc_names[0]]
-            else:
-                vec = baseline(g, base_names[0], weighted=args.weighted)
-            vectors.append(vec)
-            names.append(f"{vec.metric}@{tag}")
+        other = _read_graph(args.input2)
+        # spearman pairs the two graphs' scores by node label
+        vectors = [_one_vector(g, dc_names, base_names, args, "two-graph compare") for g in (graph, other)]
+        names = [f"{vec.metric}@{tag}" for vec, tag in zip(vectors, "ab")]
+        rho = [[spearman(vx, vy) for vy in vectors] for vx in vectors]
     else:
         directions = _directions(graph, args.direction)
-        for d in directions:
-            computed = all_distinctiveness(graph, alpha=args.alpha, direction=d,
-                                           metrics=tuple(dc_names)) if dc_names else {}
-            for name in dc_names:
-                vectors.append(computed[name])
-                suffix = f"-{d}" if d != "undirected" else ""
-                names.append(f"{name}{suffix}")
-        for name in base_names:
-            vectors.append(baseline(graph, name, weighted=args.weighted))
-            names.append(vectors[-1].metric)
+        vectors = list(_score(graph, dc_names, base_names, [args.alpha], directions, args))
+        names = [v.metric + (f"-{v.direction}" if v.direction != "undirected" else "") for v in vectors]
+        # every vector scores graph.nodes in order, so each is ranked once;
+        # one row at a time keeps _rho_matrix's temporaries at k x n, not k x k x n
+        ranks = _ranked(np.stack([v.values for v in vectors]))
+        rho = [_rho_matrix(row[None, :], ranks)[0].tolist() for row in ranks]
     lines = ["metric," + ",".join(names)]
-    for i, vx in enumerate(vectors):
-        row = [f"{spearman(vx, vy):.6g}" for vy in vectors]
-        lines.append(names[i] + "," + ",".join(row))
+    lines += [name + "," + ",".join(f"{r:.6g}" for r in row) for name, row in zip(names, rho)]
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -326,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="Spearman correlation matrix of metrics (or of two graphs)")
     _add_graph_source(p)
-    p.add_argument("--input2", help="second edge-list file (single-metric two-graph mode)")
+    p.add_argument("--input2", help="second edge-list or GEXF file (single-metric two-graph mode)")
     p.add_argument("--metrics", default="dc")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--direction", default="auto", choices=("auto", "undirected", "in", "out"))

@@ -117,8 +117,15 @@ class Graph:
         """Logical edge list in storage order: every arc for directed graphs,
         each undirected edge once, from the row of its lower-indexed endpoint
         (where it is first stored)."""
+        return self._edges_where(None)
+
+    def _edges_where(self, mask: np.ndarray | None) -> Iterator[Edge]:
+        """The logical edges, in ``edges()`` order, whose stored entries
+        ``mask`` selects (all of them when it is None)."""
         rows = _entry_rows(self.indptr)
         keep = slice(None) if self.directed else self.indices > rows
+        if mask is not None:
+            keep = mask if self.directed else mask & keep
         label = self.nodes.__getitem__
         return zip(
             map(label, rows[keep].tolist()),
@@ -341,13 +348,17 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.bincount(_entry_rows(indptr), weights=values, minlength=n)
 
 
+def _require_edges(graph: Graph) -> None:
+    if not graph.weights.size:
+        raise ValueError("graph has no edges left after self-loops were dropped")
+
+
 def profile(graph: Graph) -> DegreeProfile:
     """Compute the degree/strength profile of a graph in one pass.
 
     Raises ValueError on a graph without edges, which only self-loops can
     leave: its extremal weights do not exist."""
-    if not graph.weights.size:
-        raise ValueError("graph has no edges left after self-loops were dropped")
+    _require_edges(graph)
     out_degree, out_strength = graph.out_degrees(), segment_sum(graph.weights, graph.indptr)
     in_degree, in_strength = out_degree, out_strength  # the same arrays when undirected
     if graph.directed:
@@ -435,10 +446,12 @@ def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[
 
 
 def validate(graph: Graph) -> ValidationReport:
-    """Advisory validation: sub-unit weights, connectivity, weight homogeneity."""
-    sub_unit = tuple(e for e in graph.edges() if e[2] < 1.0)
+    """Advisory validation: sub-unit weights, connectivity, weight homogeneity.
+
+    Raises ValueError on a graph without edges, as ``profile`` does."""
+    _require_edges(graph)
     return ValidationReport(
-        sub_unit_weight_edges=sub_unit,
+        sub_unit_weight_edges=tuple(graph._edges_where(graph.weights < 1.0)),
         connected=is_connected(graph),
         isolated_nodes=tuple(sorted(graph.isolates())),
         weight_homogeneous=float(graph.weights.min()) == float(graph.weights.max()),

@@ -27,6 +27,7 @@ from dcmetrics import (
     all_distinctiveness,
     barabasi_albert,
     baseline,
+    spearman,
 )
 from dcmetrics.graph import segment_sum
 
@@ -465,4 +466,24 @@ def naive_rank_csv(ranking, values):
         r = ranking.ranks[i]
         r_txt = str(int(r)) if ranking.tie_rule == "competition" else f"{float(r):g}"
         lines.append(f"{r_txt},{ranking.labels[i]},{values[i]:.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def naive_compare_csv(graph, dc_names, base_names, alpha, directions, weighted):
+    """Byte reference for the one-graph ``compare`` command's output: its
+    earlier per-pair loop, scoring each direction and baseline in turn and
+    calling ``spearman`` on every ordered pair, which ranks both vectors
+    again each time."""
+    vectors, names = [], []
+    for d in directions:
+        computed = all_distinctiveness(graph, alpha=alpha, direction=d, metrics=tuple(dc_names)) if dc_names else {}
+        for name in dc_names:
+            vectors.append(computed[name])
+            names.append(name if d == "undirected" else f"{name}-{d}")
+    for name in base_names:
+        vectors.append(baseline(graph, name, weighted=weighted))
+        names.append(vectors[-1].metric)
+    lines = ["metric," + ",".join(names)]
+    for i, vx in enumerate(vectors):
+        lines.append(names[i] + "," + ",".join(f"{spearman(vx, vy):.6g}" for vy in vectors))
     return "\n".join(lines) + "\n"

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from dcmetrics import all_distinctiveness, baseline, builtin_dataset, rank
+from dcmetrics import BASELINES, METRICS, all_distinctiveness, baseline, build_graph, builtin_dataset, rank
 from dcmetrics.cli import run_cli
-from naive import naive_rank_csv
+from naive import naive_compare_csv, naive_rank_csv
 
 
 def run(capsys, *argv):
@@ -181,6 +181,33 @@ class TestCompare:
         assert float(first[1]) == 1.0
         assert float(first[2]) == pytest.approx(0.974, abs=0.02)
 
+    @pytest.mark.parametrize("dataset, flags, dc_names, base_names, directions, weighted", [
+        ("zachary", ["--metrics", "all", "--weighted"], METRICS, BASELINES, ["undirected"], True),
+        ("toy-directed", [], METRICS, (), ["in", "out"], False),
+        ("florentine", ["--metrics", "dc,baselines"], METRICS, BASELINES, ["undirected"], False),
+    ])
+    def test_bytes_match_per_pair_reference(self, capsys, dataset, flags, dc_names, base_names,
+                                            directions, weighted):
+        code, out, err = run(capsys, "compare", "--dataset", dataset, *flags)
+        assert (code, err) == (0, "")
+        expected = naive_compare_csv(builtin_dataset(dataset), dc_names, base_names, 1.0, directions, weighted)
+        assert out == expected
+
+    @pytest.mark.parametrize("edges, metrics, dc_names, base_names", [
+        ([("A", "B", 1.0), ("B", "C", 1.0), ("C", "A", 1.0)], "dc", METRICS, ()),  # every score ties
+        ([("A", "B", 1.0)], "d1,degree", ("d1",), ("degree",)),  # two nodes
+    ])
+    def test_errors_match_per_pair_reference(self, capsys, tmp_path, edges, metrics, dc_names, base_names):
+        path = tmp_path / "g.tsv"
+        path.write_text("".join(f"{u}\t{v}\t{w}\n" for u, v, w in edges))
+        with pytest.raises(ValueError) as ref:
+            naive_compare_csv(build_graph(edges), dc_names, base_names, 1.0, ["undirected"], False)
+        code, out, err = run(capsys, "compare", "--input", str(path), "--metrics", metrics)
+        assert (code, out) == (1, "")
+        assert err == f"error: {ref.value}\n"
+        assert str(ref.value) in ("rank correlation is undefined for constant scores",
+                                  "spearman needs at least 3 nodes")
+
 
 class TestCompareTwoGraphs:
     def test_same_graph_correlates_perfectly(self, capsys, tmp_path):
@@ -208,6 +235,34 @@ class TestCompareTwoGraphs:
         )
         assert code == 1
         assert "exactly one metric" in err
+
+    GEXF = (
+        '<gexf><graph defaultedgetype="undirected">'
+        '<nodes><node id="a"/><node id="b"/><node id="c"/><node id="d"/></nodes>'
+        '<edges><edge source="a" target="b" weight="2"/><edge source="b" target="c"/>'
+        '<edge source="c" target="d" weight="3"/><edge source="a" target="c"/></edges></graph></gexf>'
+    )
+
+    def test_second_graph_as_gexf(self, capsys, tmp_path):
+        plain, gexf = tmp_path / "g.tsv", tmp_path / "g.gexf"
+        plain.write_text("a\tb\t2\nb\tc\t1\nc\td\t3\na\tc\t1\n")
+        gexf.write_text(self.GEXF)
+        code, out, err = run(capsys, "compare", "--input", str(plain), "--input2", str(gexf), "--metrics", "d1")
+        assert (code, err) == (0, "")
+        assert out == "metric,d1@a,d1@b\nd1@a,1,1\nd1@b,1,1\n"
+
+    def test_unreadable_second_graph(self, capsys, tmp_path):
+        missing = tmp_path / "nope.tsv"
+        code, out, err = run(capsys, "compare", "--dataset", "zachary", "--input2", str(missing), "--metrics", "d1")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read input file {missing}: ")
+
+    def test_metric_count_checked_before_second_graph_is_read(self, capsys, tmp_path):
+        missing = tmp_path / "nope.tsv"
+        code, out, err = run(capsys, "compare", "--dataset", "zachary", "--input2", str(missing),
+                             "--metrics", "d1,d2")
+        assert (code, out) == (1, "")
+        assert err == "error: comparing two graphs takes exactly one metric\n"
 
 
 class TestGenerateAndSweep:

@@ -179,6 +179,20 @@ class TestValidate:
         report = validate(g)
         assert report.isolated_nodes == ("Z",)
 
+    def test_no_edges_is_profile_error(self):
+        g = build_graph([("A", "A", 1.0)])
+        with pytest.raises(ValueError, match="^graph has no edges left after self-loops were dropped$"):
+            validate(g)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_sub_unit_edges_in_edge_list_order(self, directed):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            edges, declared = _random_edge_list(rng, directed)
+            g = build_graph(edges, directed=directed, nodes=declared)
+            expected = tuple(e for e in naive_edges(g) if e[2] < 1.0)
+            assert validate(g).sub_unit_weight_edges == expected
+
 
 def _outcome(build, *args, **kwargs):
     """(exception type, message) of a build that must fail."""
