@@ -52,7 +52,8 @@ def _read_graph(path: str) -> Graph:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DCMetricsError(f"cannot read input file {path}: {exc.strerror or exc}") from None
-    if path.suffix.lower() == ".gexf" or text.lstrip().startswith("<"):
+    first_line = text.lstrip().partition("\n")[0]  # an edge line holds a tab
+    if path.suffix.lower() == ".gexf" or (first_line.startswith("<") and "\t" not in first_line):
         return parse_gexf_minimal(text)
     return parse_edge_list(text)
 
@@ -174,7 +175,7 @@ def _cmd_rank(args) -> int:
     order = np.argsort(ranking.ranks, kind="stable")  # ties keep node order
     labels = [ranking.labels[i] for i in order.tolist()]
     rows = zip(ranking.ranks[order].tolist(), labels, vec.values[order].tolist())
-    template = ("%d" if args.tie_rule == "competition" else "%g") + ",%s,%.6g"
+    template = ("%d" if args.tie_rule == "competition" else "%.17g") + ",%s,%.6g"
     _emit(args, "\n".join(["rank,node,score", *map(template.__mod__, rows)]) + "\n")
     return 0
 
@@ -194,10 +195,9 @@ def _cmd_compare(args) -> int:
         directions = _directions(graph, args.direction)
         vectors = list(_score(graph, dc_names, base_names, [args.alpha], directions, args))
         names = [v.metric + (f"-{v.direction}" if v.direction != "undirected" else "") for v in vectors]
-        # every vector scores graph.nodes in order, so each is ranked once;
-        # one row at a time keeps _rho_matrix's temporaries at k x n, not k x k x n
+        # every vector scores graph.nodes in order, so each is ranked once
         ranks = _ranked(np.stack([v.values for v in vectors]))
-        rho = [_rho_matrix(row[None, :], ranks)[0].tolist() for row in ranks]
+        rho = _rho_matrix(ranks, ranks).tolist()
     lines = ["metric," + ",".join(names)]
     lines += [name + "," + ",".join(f"{r:.6g}" for r in row) for name, row in zip(names, rho)]
     _emit(args, "\n".join(lines) + "\n")

@@ -119,19 +119,20 @@ class Graph:
         (where it is first stored)."""
         return self._edges_where(None)
 
-    def _edges_where(self, mask: np.ndarray | None) -> Iterator[Edge]:
-        """The logical edges, in ``edges()`` order, whose stored entries
-        ``mask`` selects (all of them when it is None)."""
+    def _edge_arrays(self, mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Source indices, target indices and weights of the logical edges,
+        in ``edges()`` order, whose stored entries ``mask`` selects (all of
+        them when it is None)."""
         rows = _entry_rows(self.indptr)
         keep = slice(None) if self.directed else self.indices > rows
         if mask is not None:
             keep = mask if self.directed else mask & keep
+        return rows[keep], self.indices[keep], self.weights[keep]
+
+    def _edges_where(self, mask: np.ndarray | None) -> Iterator[Edge]:
+        src, dst, w = self._edge_arrays(mask)
         label = self.nodes.__getitem__
-        return zip(
-            map(label, rows[keep].tolist()),
-            map(label, self.indices[keep].tolist()),
-            self.weights[keep].tolist(),
-        )
+        return zip(map(label, src.tolist()), map(label, dst.tolist()), w.tolist())
 
     def total_weight(self) -> float:
         """Sum of arc weights; undirected edges are counted once."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from .distinctiveness import CentralityVector
 from .errors import ParseError
-from .graph import Graph, _intern, build_graph, graph_from_arrays
+from .graph import Graph, _intern, build_graph, first_inverse, graph_from_arrays
 
 __all__ = [
     "parse_edge_list",
@@ -147,19 +147,16 @@ def write_edge_list(graph: Graph) -> str:
             f"node label {bad!r} cannot be written to an edge list: labels must not hold "
             f"a tab, LF or CR, start with '#', or start or end with whitespace"
         )
-    edges = list(graph.edges())
-    appearance: list[str] = []
-    seen: set[str] = set()
-    for u, v, _ in edges:
-        for lab in (u, v):
-            if lab not in seen:
-                seen.add(lab)
-                appearance.append(lab)
+    src, dst, w = graph._edge_arrays()
+    ends = np.empty(2 * src.size, dtype=src.dtype)
+    ends[0::2], ends[1::2] = src, dst
+    first, _ = first_inverse(ends)  # each node's first position as an endpoint
     lines = ["directed" if graph.directed else "undirected"]
-    if tuple(appearance) != graph.nodes:
+    if first.size != graph.n or np.any(first[1:] < first[:-1]):
         lines.extend(graph.nodes)
-    for u, v, w in edges:
-        lines.append(f"{u}\t{v}\t{w!r}")
+    label = graph.nodes.__getitem__
+    edges = zip(map(label, src.tolist()), map(label, dst.tolist()), w.tolist())
+    lines.extend(map("%s\t%s\t%r".__mod__, edges))
     return "\n".join(lines) + "\n"
 
 

@@ -113,23 +113,22 @@ def _ranked(stack: np.ndarray) -> np.ndarray:
 
 def _rho_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Spearman rho of every row of the rank stack ``x`` (m x n) against
-    every row of ``y`` (k x n), as an m x k matrix.
+    every row of ``y`` (k x n), as an m x k matrix: Pearson on the ranks.
 
-    Perfect agreement and reversal are detected exactly on the ranks.
-    Otherwise rho is Pearson on the ranks: average ranks are multiples of
-    1/2, so the deviations, their squares and their products are exact
-    multiples of 1/4 and all their sums are exact while n**3 < 2**53.
+    Average ranks are multiples of 1/2, so all the sums are exact while
+    n**3 < 2**53. Equal and reversed rows need no special case: the mean
+    rank is exactly (n+1)/2, so their deviations are equal or negated bit
+    for bit, cov = +-sxx = +-syy, and sqrt(fl(s*s)) == s in IEEE arithmetic.
+    The covariance is summed one row of ``x`` at a time, so the products
+    stay k x n, with the same contiguous pairwise reduction for each pair.
     """
     if np.any(np.ptp(x, axis=1) == 0.0) or np.any(np.ptp(y, axis=1) == 0.0):
         raise ValueError("rank correlation is undefined for constant scores")
     dx = x - x.mean(axis=1, keepdims=True)
     dy = y - y.mean(axis=1, keepdims=True)
-    cov = np.sum(dx[:, None, :] * dy[None, :, :], axis=2)
+    cov = np.array([np.sum(row * dy, axis=1) for row in dx])
     denom = np.sqrt(np.sum(dx * dx, axis=1)[:, None] * np.sum(dy * dy, axis=1)[None, :])
-    rho = np.clip(cov / denom, -1.0, 1.0)
-    rho[(x[:, None, :] == y[None, :, :]).all(axis=2)] = 1.0
-    rho[(x[:, None, :] == x.shape[1] + 1.0 - y[None, :, :]).all(axis=2)] = -1.0
-    return rho
+    return np.clip(cov / denom, -1.0, 1.0)
 
 
 def spearman(x: CentralityVector, y: CentralityVector) -> float:
@@ -143,10 +142,6 @@ def spearman(x: CentralityVector, y: CentralityVector) -> float:
     else:
         raise ValueError("spearman inputs must score the same node set")
     return float(_rho_matrix(rx, _ranked(yv[None, :]))[0, 0])
-
-
-def _baseline_key(metric: str, weighted: bool) -> str:
-    return f"weighted-{metric}" if weighted else metric
 
 
 @dataclass(frozen=True)
@@ -187,43 +182,45 @@ def correlation_sweep(
     from one PCG64 stream; the ``seed`` field of ``params`` is ignored).
 
     Pairs whose |rho| reaches 1 within 1e-12 on an individual graph are
-    recorded in ``perfect_overlaps`` rather than failing the sweep.
+    recorded in ``perfect_overlaps`` rather than failing the sweep. Each
+    alpha and each DC metric must appear once.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
     if not alphas:
         raise ValueError("alphas must be non-empty")
     alphas = tuple(float(a) for a in alphas)
+    for kind, values in (("alpha", alphas), ("DC metric", dc_metrics)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{kind} {repeated[0]!r} is given more than once")
     seeder = np.random.default_rng(np.random.SeedSequence(seed))
     graph_seeds = seeder.integers(0, 2**63 - 1, size=ensemble_size)
 
-    keys = [_baseline_key(m, w) for m, w in SWEEP_BASELINES]
-    # rho rows are (alpha, dc metric) pairs in loop order, columns baselines;
-    # a repeated alpha adds its rows into the same sums, in that order
+    # rho rows are (alpha, dc metric) pairs in loop order, columns baselines
     pairs = [(a, d) for a in alphas for d in dc_metrics]
-    row = {pair: i for i, pair in reversed(list(enumerate(pairs)))}
-    rows = [row[pair] for pair in pairs]
-    sums = np.zeros((len(pairs), len(keys)))
+    sums = np.zeros((len(pairs), len(SWEEP_BASELINES)))
     overlaps: list[tuple[int, str, str, float, float]] = []
 
     for g in range(ensemble_size):
         graph = barabasi_albert(replace(params, seed=int(graph_seeds[g])))
         # every vector scores graph.nodes in order, so vectors are paired
         # by position (what spearman does for equal labels)
-        base = _ranked(np.stack([baseline(graph, m, weighted=w).values for m, w in SWEEP_BASELINES]))
+        base = [baseline(graph, m, weighted=w) for m, w in SWEEP_BASELINES]
+        keys = [v.metric for v in base]
         dc = []
         for a in alphas:
             vectors = all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
             dc += [vectors[d].values for d in dc_metrics]
-        rho = _rho_matrix(_ranked(np.stack(dc)), base)
-        np.add.at(sums, rows, rho)
+        rho = _rho_matrix(_ranked(np.stack(dc)), _ranked(np.stack([v.values for v in base])))
+        sums += rho
         for i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
             a, d = pairs[i]
             overlaps.append((g, d, keys[j], a, float(rho[i, j])))
 
     means = {
-        (d, b, a): float(sums[row[(a, d)], j]) / ensemble_size
-        for d in dc_metrics for j, b in enumerate(keys) for a in alphas
+        (d, b, a): float(sums[i * len(dc_metrics) + k, j]) / ensemble_size
+        for k, d in enumerate(dc_metrics) for j, b in enumerate(keys) for i, a in enumerate(alphas)
     }
     return CorrelationSweep(
         alphas=alphas,

@@ -281,7 +281,8 @@ def naive_rank_array(values, tie_rule):
 
 def naive_pairwise_spearman(x, y):
     """Bitwise reference for the sweep's Spearman: both vectors ranked again
-    for every pair, then the package's exact-match and Pearson steps."""
+    for every pair, then exact-match steps for equal and reversed ranks (which
+    the package leaves to the Pearson formula) and the Pearson steps."""
     rx = naive_rank_array(x, "average")
     ry = naive_rank_array(y, "average")
     if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
@@ -457,6 +458,26 @@ def naive_to_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def naive_write_edge_list(graph):
+    """Byte reference for ``write_edge_list`` on writable labels: a walk
+    over ``edges()`` that records each node's first appearance, and one
+    f-string per edge."""
+    edges = list(graph.edges())
+    appearance = []
+    seen = set()
+    for u, v, _ in edges:
+        for lab in (u, v):
+            if lab not in seen:
+                seen.add(lab)
+                appearance.append(lab)
+    lines = ["directed" if graph.directed else "undirected"]
+    if tuple(appearance) != graph.nodes:
+        lines.extend(graph.nodes)
+    for u, v, w in edges:
+        lines.append(f"{u}\t{v}\t{w!r}")
+    return "\n".join(lines) + "\n"
+
+
 def naive_rank_csv(ranking, values):
     """Byte reference for the ``rank`` command's output: a Python sort by
     (rank, node index) and one f-string per row over numpy scalars."""
@@ -464,7 +485,7 @@ def naive_rank_csv(ranking, values):
     lines = ["rank,node,score"]
     for i in order:
         r = ranking.ranks[i]
-        r_txt = str(int(r)) if ranking.tie_rule == "competition" else f"{float(r):g}"
+        r_txt = str(int(r)) if ranking.tie_rule == "competition" else f"{float(r):.17g}"
         lines.append(f"{r_txt},{ranking.labels[i]},{values[i]:.6g}")
     return "\n".join(lines) + "\n"
 

@@ -166,6 +166,20 @@ class TestRank:
         assert code == 0
         assert out == naive_rank_csv(rank(vec, tie_rule=tie_rule), vec.values)
 
+    def test_average_ranks_print_exactly_past_100000(self, capsys, tmp_path):
+        """A star on 100,002 nodes whose two lightest leaves tie at the
+        bottom: both rank 100001.5, which "%g" would round to 100002."""
+        path = tmp_path / "star.tsv"
+        weights = [2] * 99_999 + [1, 1]
+        path.write_text("".join(f"hub\tleaf{i}\t{w}\n" for i, w in enumerate(weights)))
+        code, out, err = run(capsys, "rank", "--input", str(path), "--metric", "degree",
+                             "--weighted", "--tie-rule", "average")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1] == "1,hub,200000"
+        assert lines[2] == "50001,leaf0,2"
+        assert lines[-2:] == ["100001.5,leaf99999,1", "100001.5,leaf100000,1"]
+
 
 class TestCompare:
     def test_matrix_symmetric_unit_diagonal(self, capsys):
@@ -305,6 +319,11 @@ class TestGenerateAndSweep:
         assert svg1.read_bytes() == svg2.read_bytes()  # byte-identical SVG
         assert svg1.read_text().startswith("<svg")
 
+    def test_sweep_refuses_repeated_alpha(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "10", "--ensemble", "3", "--alphas", "1,1")
+        assert (code, out) == (1, "")
+        assert err == "error: alpha 1.0 is given more than once\n"
+
 
 class TestDatasets:
     def test_list(self, capsys):
@@ -347,6 +366,14 @@ class TestByteOrderMark:
         code, out, _ = run(capsys, "compute", "--input", str(path), "--metrics", "d1")
         assert code == 0
         assert [line.split(",")[0] for line in out.splitlines()] == ["node", "a", "b", "c"]
+
+    def test_edge_list_starting_with_angle_bracket(self, capsys, tmp_path):
+        """A first line that starts with "<" but holds a tab is an edge."""
+        path = tmp_path / "graph.txt"
+        path.write_text("<a>\tb\t1\nb\tc\t2\n", encoding="utf-8-sig")
+        code, out, err = run(capsys, "compute", "--input", str(path), "--metrics", "d1")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()] == ["node", "<a>", "b", "c"]
 
     def test_first_edge_label_after_bom(self, capsys, tmp_path):
         plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dcmetrics import (
+    DATASET_NAMES,
     CentralityVector,
     GraphBuildError,
     ParseError,
@@ -21,7 +22,7 @@ from dcmetrics import (
 from dcmetrics import bytereader, io
 from dcmetrics.io import GexfFeatureWarning, ResultTable
 from conftest import assert_same_graph
-from naive import naive_build_graph, naive_to_csv
+from naive import naive_build_graph, naive_to_csv, naive_write_edge_list
 
 
 class TestEdgeList:
@@ -119,6 +120,34 @@ class TestEdgeList:
         # a "#" after the first character is a label character
         g = build_graph([("A#", "C#D", 1.0)])
         assert parse_edge_list(write_edge_list(g)).nodes == ("A#", "C#D")
+
+
+class TestWriterMatchesLoop:
+    """``write_edge_list`` against the per-edge loop it replaced, byte for
+    byte, with and without the node declarations."""
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_datasets(self, name):
+        g = builtin_dataset(name)
+        assert write_edge_list(g) == naive_write_edge_list(g)
+
+    def test_seeded_graphs_with_isolates_and_out_of_order_nodes(self):
+        rng = np.random.default_rng(31)
+        declared = set()
+        for trial in range(80):
+            n = int(rng.integers(2, 25))
+            m = int(rng.integers(1, 2 * n))
+            labels = np.array([f"v{i}" for i in rng.permutation(n)], dtype=object)
+            src = rng.integers(0, n, size=m)
+            dst = (src + rng.integers(1, n, size=m)) % n
+            weights = (rng.integers(1, 9, size=m) / rng.integers(1, 4, size=m)).tolist()
+            # a random subset of the nodes, in random order; those without an edge are isolates
+            nodes = labels[rng.permutation(n)[: int(rng.integers(0, n + 1))]].tolist()
+            g = build_graph(zip(labels[src], labels[dst], weights), directed=bool(trial % 2), nodes=nodes)
+            text = write_edge_list(g)
+            assert text == naive_write_edge_list(g)
+            declared.add(text.count("\n") > 1 + g.edge_count)
+        assert declared == {False, True}
 
 
 def _document(rng, directed, exotic):

@@ -187,6 +187,16 @@ class TestRhoMatrix:
                     checked.add(want if abs(want) == 1.0 else 0.0)
         assert checked == {-1.0, 0.0, 1.0}
 
+    @pytest.mark.parametrize("n", [3, 300_001])
+    def test_equal_and_reversed_rows_are_exact(self, n):
+        """The Pearson formula alone gives exactly 1.0 and -1.0 for equal and
+        reversed tie-heavy rows, also where its sums are no longer exact."""
+        rng = np.random.default_rng(n)
+        x = _ranked(np.stack([rng.permutation(np.arange(n) % k) for k in (2, 7, n)]).astype(float))
+        rho = _rho_matrix(x, np.concatenate([x, n + 1.0 - x]))
+        assert np.diagonal(rho[:, :3]).tolist() == [1.0] * 3
+        assert np.diagonal(rho[:, 3:]).tolist() == [-1.0] * 3
+
     def test_constant_row_rejected(self):
         x = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0]])
         y = np.array([[3.0, 1.0, 2.0]])
@@ -234,6 +244,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             correlation_sweep(PARAMS, ensemble_size=1, alphas=())
 
+    def test_rejects_repeated_alpha_and_metric(self):
+        with pytest.raises(ValueError, match="alpha 2.0 is given more than once"):
+            correlation_sweep(PARAMS, ensemble_size=1, alphas=(2, 1.0, 2.0))
+        with pytest.raises(ValueError, match="DC metric 'd3' is given more than once"):
+            correlation_sweep(PARAMS, ensemble_size=1, alphas=(1.0,), dc_metrics=("d3", "d1", "d3"))
+
     def test_matches_per_pair_reference(self):
         """One rank stack and one rho matrix per graph, over the
         breadth-first path baselines, give the sweep of per-pair ranking
@@ -248,11 +264,14 @@ class TestSweep:
             assert got.perfect_overlaps == overlaps
 
     def test_overlaps_and_repeated_alpha_in_loop_order(self):
-        """Small trees give perfect overlaps; a repeated alpha adds its rows
-        into the same means in loop order."""
+        """Small trees give perfect overlaps, recorded in loop order; a
+        repeated alpha, which would add its rows into the same means, is
+        refused."""
         params = GeneratorParams(n=6, m_attach=1, weight_low=1, weight_high=3)
-        got = correlation_sweep(params, ensemble_size=6, alphas=(1.0, 3.0, 1.0), seed=1)
-        means, overlaps = naive_correlation_sweep(params, 6, (1.0, 3.0, 1.0), seed=1)
+        with pytest.raises(ValueError, match="alpha 1.0 is given more than once"):
+            correlation_sweep(params, ensemble_size=6, alphas=(1.0, 3.0, 1.0), seed=1)
+        got = correlation_sweep(params, ensemble_size=6, alphas=(1.0, 3.0), seed=1)
+        means, overlaps = naive_correlation_sweep(params, 6, (1.0, 3.0), seed=1)
         assert list(got.means) == list(means)
         assert np.array_equal(np.array(list(got.means.values())).view(np.int64),
                               np.array(list(means.values())).view(np.int64))
