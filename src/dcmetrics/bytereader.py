@@ -1,12 +1,23 @@
 """The array reader of the edge-list format described in ``dcmetrics.io``.
 
-``read_edge_list`` works on the text's UTF-8 bytes: numpy finds the line
-and tab boundaries and strips ASCII whitespace on offset arrays, labels
-are interned by a hash of their bytes checked byte for byte, and only the
-distinct labels are decoded to strings. It returns None, leaving the
-document to the line-by-line reader in ``dcmetrics.io``, whenever that
-reader would raise, when the text holds a whitespace character above
-U+007F, and on a hash collision.
+``read_edge_list`` works on the text's UTF-8 bytes, with memory in
+proportion to the graph rather than to the text:
+
+- ``_layout`` reads blocks of whole lines, about _BLOCK bytes each: numpy
+  finds the line and tab boundaries and strips ASCII whitespace on offset
+  arrays, and each field's byte range and each weight go into arrays
+  sized from the line count, so no temporary outgrows a block.
+- Labels are interned by a hash of their bytes taken 8 bytes per numpy
+  step, through a view of the text as overlapping little-endian words
+  (the last 1 to 7 bytes of a field come from the word that ends with
+  them, shifted). Equal hashes are checked the same way, word by word, a
+  slice of _FIELDS fields at a time.
+- Only the distinct labels become strings: one gather joins their bytes
+  with tabs, then one decode and one split.
+
+It returns None, leaving the document to the line-by-line reader in
+``dcmetrics.io``, whenever that reader would raise, when the text holds a
+whitespace character above U+007F, and on a hash collision.
 """
 
 from __future__ import annotations
@@ -26,8 +37,11 @@ _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 # the characters above U+007F that str.strip removes
 _UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 _FNV_PRIME = np.uint64(0x100000001B3)
+_LENGTH_SEED = np.uint64(0x9E3779B97F4A7C15)  # times 1..8: eight different top bytes
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact
-_LONG = 64  # labels up to this many bytes are hashed and compared in numpy, a byte a step
+_LONG = 64  # labels up to this many bytes are hashed and compared in numpy, a word a step
+_BLOCK = 1 << 18  # bytes of whole lines that _layout reads at a time
+_FIELDS = 1 << 16  # fields hashed or compared at a time
 
 
 def read_edge_list(text: str) -> Graph | None:
@@ -48,6 +62,7 @@ def read_edge_list(text: str) -> Graph | None:
     if interned is None:
         return None
     labels, ids = interned
+    del layout, interned, lo, hi, buf, raw  # the build needs none of them
     return graph_from_arrays(labels, ids[declared::2], ids[declared + 1::2], weights, directed)
 
 
@@ -58,51 +73,96 @@ def _layout(buf: np.ndarray, raw: bytes) -> tuple | None:
     fields, declarations first, then source and target of each edge in
     turn; the number of declarations; and the edge weights. None when the
     loop would raise.
+
+    The lines are read in blocks of whole lines, _BLOCK bytes or a little
+    more, so the temporaries stay the size of a block; the ranges and
+    weights go into arrays sized from the line count.
     """
-    index = np.int32 if buf.size < 2**31 else np.int64
-    newlines = np.flatnonzero(buf == 10).astype(index)
-    starts = np.concatenate([np.zeros(1, index), newlines + 1])
-    ends = np.concatenate([newlines, np.full(1, buf.size, index)])
+    index = np.int32 if buf.size < 2**31 - 1 else np.int64  # so that buf.size + 1 fits
+    lines = raw.count(b"\n") + 1
+    lo, hi, weights = np.empty(2 * lines, index), np.empty(2 * lines, index), np.empty(lines)
+    declared: list[tuple[np.ndarray, np.ndarray]] = []
+    edges = 0
+    directed = None  # until the first data line
+    start = 0
+    while start < buf.size:
+        stop = raw.find(b"\n", start + _BLOCK) + 1 or buf.size
+        block = _block_lines(buf, start, stop, index)
+        start = stop
+        if block is None:
+            continue
+        starts, ends, label_lo, label_hi, first_tab, count, tabs = block
+        if directed is None:
+            directed = False
+            if count[0] == 1:
+                directive = raw[label_lo[0]:label_hi[0]]
+                if directive not in (b"directed", b"undirected"):
+                    return None
+                directed = directive == b"directed"
+                starts, ends, label_lo, label_hi, first_tab, count = (
+                    a[1:] for a in (starts, ends, label_lo, label_hi, first_tab, count))
+        if count.size and count.max() > 3:
+            return None
+        edge = count > 1
+        declared.append((label_lo[~edge], label_hi[~edge]))
+        k = int(np.count_nonzero(edge))
+        fields = slice(2 * edges, 2 * (edges + k))
+        if not _edge_fields(buf, raw, starts[edge], ends[edge], tabs, first_tab[edge], count[edge] == 3,
+                            lo[fields], hi[fields], weights[edges:edges + k]):
+            return None
+        edges += k
+    if not edges:
+        return None
+    k = sum(part.size for part, _ in declared)
+    if k:  # the edge fields move up behind the declarations
+        for a, parts in zip((lo, hi), zip(*declared)):
+            a[k:k + 2 * edges] = a[:2 * edges].copy()
+            a[:k] = np.concatenate(parts)
+    return directed, lo[:k + 2 * edges], hi[:k + 2 * edges], k, weights[:edges]
+
+
+def _block_lines(buf: np.ndarray, start: int, stop: int, index) -> tuple | None:
+    """The data lines among the whole lines of buf[start:stop]: their
+    ranges [starts, ends) before and after stripping, the index into
+    ``tabs`` of each one's first tab, its field count, and the positions of
+    the block's tabs. None for a block without data lines."""
+    chunk = buf[start:stop]
+    ends = np.flatnonzero(chunk == 10).astype(index)
+    ends += start
+    if chunk[-1] != 10:  # the last line of a text without a final LF
+        ends = np.append(ends, index(stop))
+    starts = np.empty_like(ends)
+    starts[:1] = start
+    np.add(ends[:-1], 1, out=starts[1:])
     lo, hi = _strip(buf, starts, ends)
     data = lo < hi
     data[data] = buf[lo[data]] != 35  # "#" starts a comment
-    rows = np.flatnonzero(data)
-    if not rows.size:
+    if not data.any():
         return None
-    starts, ends, lo, hi = starts[rows], ends[rows], lo[rows], hi[rows]
-    tabs = np.flatnonzero(buf == 9).astype(index)
+    starts, ends, lo, hi = starts[data], ends[data], lo[data], hi[data]
+    tabs = np.flatnonzero(chunk == 9).astype(index)
+    tabs += start
     first_tab = np.searchsorted(tabs, starts)
     count = np.searchsorted(tabs, ends) - first_tab + 1
-    directed = False
-    if count[0] == 1:
-        directive = raw[lo[0]:hi[0]]
-        if directive not in (b"directed", b"undirected"):
-            return None
-        directed = directive == b"directed"
-        starts, ends, lo, hi, first_tab, count = (a[1:] for a in (starts, ends, lo, hi, first_tab, count))
-    edge = count > 1
-    if not edge.any() or count.max() > 3:
-        return None
-    tab1 = tabs[first_tab[edge]]
-    tab2 = tabs[np.minimum(first_tab[edge] + 1, tabs.size - 1)]
-    three = count[edge] == 3
-    ends = ends[edge]
-    src_lo, src_hi = _strip(buf, starts[edge], tab1)
-    dst_lo, dst_hi = _strip(buf, tab1 + 1, np.where(three, tab2, ends))
-    if not (np.all(src_lo < src_hi) and np.all(dst_lo < dst_hi)):
-        return None
-    weights = np.ones(three.size)
+    return starts, ends, lo, hi, first_tab, count, tabs
+
+
+def _edge_fields(buf, raw, starts, ends, tabs, first_tab, three, lo, hi, weights) -> bool:
+    """Write the stripped source and target ranges of the edge lines
+    [starts, ends) into ``lo`` and ``hi``, interleaved, and their weights
+    into ``weights``; False when a label is empty or a weight bad."""
+    tab1 = tabs[first_tab]
+    tab2 = tabs[np.minimum(first_tab + 1, tabs.size - 1)]
+    lo[0::2], hi[0::2] = _strip(buf, starts, tab1)
+    lo[1::2], hi[1::2] = _strip(buf, tab1 + 1, np.where(three, tab2, ends))
+    if not np.all(lo < hi):
+        return False
     parsed = _parse_weights(buf, raw, tab2[three] + 1, ends[three])
     if parsed is None:
-        return None
+        return False
+    weights[:] = 1.0
     weights[three] = parsed
-    declared = ~edge
-    fields_lo = np.empty(declared.sum() + 2 * three.size, dtype=index)
-    fields_hi = np.empty_like(fields_lo)
-    k = fields_lo.size - 2 * three.size
-    fields_lo[:k], fields_lo[k::2], fields_lo[k + 1::2] = lo[declared], src_lo, dst_lo
-    fields_hi[:k], fields_hi[k::2], fields_hi[k + 1::2] = hi[declared], src_hi, dst_hi
-    return directed, fields_lo, fields_hi, k, weights
+    return True
 
 
 def _strip(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,56 +223,107 @@ def _intern_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) 
     """The distinct labels among the fields [lo, hi), in order of first
     appearance, and the label index of every field; None on a hash
     collision. Only the distinct labels are decoded to strings."""
-    first, group = first_inverse(_hash_fields(buf, raw, lo, hi))
+    first, group = first_inverse(_hash_fields(buf, raw, lo, hi), lo.dtype)
+    first = first.astype(group.dtype)
     if not _equal_fields(buf, raw, lo, hi, first[group]):
         return None
     order = np.argsort(first)
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(order.size)
-    starts, ends = lo[first[order]].tolist(), hi[first[order]].tolist()
-    return tuple([raw[a:b].decode() for a, b in zip(starts, ends)]), rank[group]
+    rank = np.empty(order.size, dtype=group.dtype)
+    rank[order] = np.arange(order.size, dtype=group.dtype)
+    first = first[order]
+    return _decode(buf, lo[first], hi[first]), rank[group]
+
+
+def _decode(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[str, ...]:
+    """The strings of the byte ranges [lo, hi): one gather joins them with
+    a tab after each, which no label holds, then one decode and one split."""
+    size = hi - lo + 1
+    end = np.cumsum(size, dtype=lo.dtype)  # at most buf.size + 1
+    joined = buf.take(np.repeat(lo - end + size, size) + np.arange(end[-1], dtype=lo.dtype), mode="clip")
+    joined[end - 1] = 9
+    return tuple(joined[:-1].tobytes().decode().split("\t"))
+
+
+def _words(buf: np.ndarray, raw: bytes) -> np.ndarray:
+    """The text as overlapping words: element i is the 8 bytes from byte i,
+    read little-endian; a view with a stride of 1 byte, not a copy (of a
+    text under 8 bytes, which is padded)."""
+    if buf.size < 8:
+        buf = np.frombuffer(raw.ljust(8, b"\0"), dtype=np.uint8)
+    return np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
+def _last_words(words: np.ndarray, pos: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The 1 to 8 bytes [pos, end) of each field as an integer, first byte
+    lowest: the word that ends at ``end`` (the first word, for a field in
+    the text's first 8 bytes) shifted up past the bytes after ``end``,
+    then down past those before ``pos``. No byte past the text is read."""
+    at = np.maximum(end - 8, 0)
+    w = words[at]
+    w <<= ((8 - (end - at)) * 8).astype(np.uint8)
+    w >>= ((8 - (end - pos)) * 8).astype(np.uint8)
+    return w
 
 
 def _hash_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """A 64-bit hash of each field's bytes. Fields of up to _LONG bytes get
-    FNV-1a seeded with their length: step k hashes byte k of the fields
-    longer than k, so the work is linear in their total bytes. Longer
-    fields get Python's hash of their bytes, so a long label costs no more
-    than _LONG numpy steps."""
-    length = hi - lo
-    h = length.astype(np.uint64)
-    long = np.flatnonzero(length > _LONG)
+    FNV-1a over 8-byte words, seeded with their length times an odd
+    constant whose top bytes differ for the lengths 1 to 8, so fields under
+    8 bytes hash to distinct values. Longer fields get Python's hash of
+    their bytes, so a long label costs no more numpy steps than one of
+    _LONG bytes."""
+    words = _words(buf, raw)
+    h = np.empty(lo.size, dtype=np.uint64)
+    for a in range(0, lo.size, _FIELDS):  # a slice at a time keeps the temporaries small
+        part = slice(a, a + _FIELDS)
+        h[part] = _hash_words(words, lo[part], hi[part])
+    long = np.flatnonzero(hi - lo > _LONG)
     h[long] = [hash(raw[a:b]) & 0xFFFF_FFFF_FFFF_FFFF for a, b in zip(lo[long].tolist(), hi[long].tolist())]
-    i = np.flatnonzero((length > 0) & (length <= _LONG))
-    pos, end, running = lo[i], hi[i], h[i]
-    while i.size:
-        running = (running ^ buf[pos]) * _FNV_PRIME
-        pos += 1
-        done = pos == end
-        if done.any():
-            h[i[done]] = running[done]
-            i, pos, end, running = (a[~done] for a in (i, pos, end, running))
+    return h
+
+
+def _hash_words(words: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The word hash of the first _LONG bytes of each field: a step for each
+    word of the fields with more than one word left, then one for the last
+    1 to 8 bytes of every field."""
+    pos, end = lo.copy(), np.minimum(hi, lo + _LONG)
+    h = (end - pos).astype(np.uint64)
+    h *= _LENGTH_SEED
+    k = np.flatnonzero(end - pos > 8)
+    while k.size:
+        h[k] = (h[k] ^ words[pos[k]]) * _FNV_PRIME
+        pos[k] += 8
+        k = k[end[k] - pos[k] > 8]
+    h ^= _last_words(words, pos, end)
+    h *= _FNV_PRIME
     return h
 
 
 def _equal_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> bool:
-    """Whether field i has the same bytes as field other[i], for every i;
-    fields longer than _LONG bytes are compared as bytes objects."""
-    i = np.flatnonzero(other != np.arange(other.size))
-    pos, end, other_pos = lo[i], hi[i], lo[other[i]]
-    if np.any(end - pos != hi[other[i]] - other_pos):
-        return False
-    long = end - pos > _LONG
-    pairs = zip(pos[long].tolist(), end[long].tolist(), other_pos[long].tolist())
-    if not all(raw[a:b] == raw[c:c + b - a] for a, b, c in pairs):
-        return False
-    pos, end, other_pos = pos[~long], end[~long], other_pos[~long]
-    while pos.size:
-        if np.any(buf[pos] != buf[other_pos]):
+    """Whether field i has the same bytes as field other[i], for every i:
+    a word at a time, and fields longer than _LONG bytes as bytes objects."""
+    words = _words(buf, raw)
+    for a in range(0, lo.size, _FIELDS):
+        part = slice(a, a + _FIELDS)
+        if not _equal_words(words, lo[part], hi[part], lo[other[part]], hi[other[part]]):
             return False
-        pos += 1
-        other_pos += 1
-        more = pos < end
-        if not more.all():
-            pos, end, other_pos = pos[more], end[more], other_pos[more]
-    return True
+    long = np.flatnonzero(hi - lo > _LONG)
+    pairs = zip(lo[long].tolist(), hi[long].tolist(), lo[other[long]].tolist())
+    return all(raw[a:b] == raw[c:c + b - a] for a, b, c in pairs)
+
+
+def _equal_words(words: np.ndarray, lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray,
+                 other_hi: np.ndarray) -> bool:
+    """Whether each field [lo, hi) has the length of [other_lo, other_hi)
+    and the same first _LONG bytes."""
+    if not np.array_equal(hi - lo, other_hi - other_lo):
+        return False
+    pos, end, other_pos = lo.copy(), np.minimum(hi, lo + _LONG), other_lo.copy()
+    k = np.flatnonzero(end - pos > 8)
+    while k.size:
+        if np.any(words[pos[k]] != words[other_pos[k]]):
+            return False
+        pos[k] += 8
+        other_pos[k] += 8
+        k = k[end[k] - pos[k] > 8]
+    return np.array_equal(_last_words(words, pos, end), _last_words(words, other_pos, other_pos + (end - pos)))

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +48,18 @@ def _default_seed(value: int | None) -> int:
     return 0
 
 
+# the first line that is not blank, without its leading whitespace (compiled
+# by the first read, not at import)
+_FIRST_LINE = r"\s*([^\n]*)"
+
+
 def _read_graph(path: str) -> Graph:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DCMetricsError(f"cannot read input file {path}: {exc.strerror or exc}") from None
-    first_line = text.lstrip().partition("\n")[0]  # an edge line holds a tab
+    first_line = re.match(_FIRST_LINE, text)[1]  # an edge line holds a tab
     if path.suffix.lower() == ".gexf" or (first_line.startswith("<") and "\t" not in first_line):
         return parse_gexf_minimal(text)
     return parse_edge_list(text)
@@ -62,12 +69,16 @@ def _load_graph(args) -> Graph:
     return builtin_dataset(args.dataset) if args.dataset else _read_graph(args.input)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, blocks: Iterable[str]) -> None:
+    """Write the text blocks to the --output file, or to stdout. Callers
+    pass a list or a generator of blocks, never a bare str, which would be
+    written a character at a time."""
     out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    if not out:
+        sys.stdout.writelines(blocks)
+        return
+    with open(out, "w", encoding="utf-8") as f:
+        f.writelines(blocks)
 
 
 # every token --metrics accepts, and the metrics it stands for
@@ -145,8 +156,8 @@ def _cmd_compute(args) -> int:
                                 relaxed_alpha=args.relaxed_alpha))
             for v in vectors
         )
-    table = ResultTable.from_vectors(list(vectors))
-    _emit(args, table.to_json() if args.format == "json" else table.to_csv())
+    table = ResultTable.from_vectors(list(vectors))  # every vector is scored before the output opens
+    _emit(args, table.json_blocks() if args.format == "json" else table.csv_blocks())
     return 0
 
 
@@ -176,7 +187,7 @@ def _cmd_rank(args) -> int:
     labels = [ranking.labels[i] for i in order.tolist()]
     rows = zip(ranking.ranks[order].tolist(), labels, vec.values[order].tolist())
     template = ("%d" if args.tie_rule == "competition" else "%.17g") + ",%s,%.6g"
-    _emit(args, "\n".join(["rank,node,score", *map(template.__mod__, rows)]) + "\n")
+    _emit(args, ["\n".join(["rank,node,score", *map(template.__mod__, rows)]) + "\n"])
     return 0
 
 
@@ -200,7 +211,7 @@ def _cmd_compare(args) -> int:
         rho = _rho_matrix(ranks, ranks).tolist()
     lines = ["metric," + ",".join(names)]
     lines += [name + "," + ",".join(f"{r:.6g}" for r in row) for name, row in zip(names, rho)]
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -215,7 +226,7 @@ def _cmd_generate(args) -> int:
         f"# barabasi-albert n={params.n} m_attach={params.m_attach} "
         f"weights=[{params.weight_low},{params.weight_high}] seed={seed}\n"
     )
-    _emit(args, header + write_edge_list(graph))
+    _emit(args, [header, write_edge_list(graph)])
     return 0
 
 
@@ -232,7 +243,7 @@ def _cmd_sweep(args) -> int:
     ]
     for d, b, a, rho in sweep.rows():
         lines.append(f"{d},{b},{a:g},{rho:.6g}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     if args.svg:
         series = []
         for d in sweep.dc_metrics:
@@ -255,12 +266,14 @@ def _cmd_datasets(args) -> int:
             (directory / f"{name}.tsv").write_text(
                 write_edge_list(builtin_dataset(name)), encoding="utf-8"
             )
-        sys.stdout.write(f"exported {len(DATASET_NAMES)} datasets to {directory}\n")
+        _emit(args, [f"exported {len(DATASET_NAMES)} datasets to {directory}\n"])
         return 0
+    lines = []
     for name in DATASET_NAMES:
         g = builtin_dataset(name)
         kind = "directed" if g.directed else "undirected"
-        sys.stdout.write(f"{name}: {g.n} nodes, {g.edge_count} {'arcs' if g.directed else 'edges'}, {kind}\n")
+        lines.append(f"{name}: {g.n} nodes, {g.edge_count} {'arcs' if g.directed else 'edges'}, {kind}\n")
+    _emit(args, lines)
     return 0
 
 

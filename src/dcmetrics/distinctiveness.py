@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, segment_sum
+from .graph import Graph, _entry_rows, segment_sum
 
 METRICS = ("d1", "d2", "d3", "d4", "d5")
 DIRECTIONS = ("undirected", "in", "out")
@@ -186,31 +186,53 @@ def all_distinctiveness(
             isolates=isolates,
         )
 
+    rows = _entry_rows(indptr)
+
+    def row_sums(values: np.ndarray) -> np.ndarray:
+        return segment_sum(values, indptr, rows)
+
     # neighbor arrays are indexed per edge entry before any log/pow so that
-    # isolates (degree 0, never referenced) cannot inject inf/nan
+    # isolates (degree 0, never referenced) cannot inject inf/nan; each
+    # per-entry array is then worked on in place, in the order of the
+    # formula's operations, and dropped before the next one is made
     if "d1" in metrics or "d2" in metrics:
         # penalty log10((n-1)/g^alpha), kept as a single log of the ratio:
         # neighbors of full degree give exactly 0 at alpha=1, and exact
         # score ties (equal degree products) stay bitwise ties
-        per_edge = np.log10((n - 1) / np.power(deg_f[indices], alpha))
+        per_edge = deg_f[indices]
+        np.power(per_edge, alpha, out=per_edge)
+        np.divide(n - 1, per_edge, out=per_edge)
+        np.log10(per_edge, out=per_edge)
         if "d1" in metrics:
-            out["d1"] = vector("d1", segment_sum(weights * per_edge, indptr))
+            out["d1"] = vector("d1", row_sums(weights * per_edge))
         if "d2" in metrics:
-            out["d2"] = vector("d2", segment_sum(per_edge, indptr))
+            out["d2"] = vector("d2", row_sums(per_edge))
+        del per_edge
 
     if "d3" in metrics or "d4" in metrics:
-        wpow = np.power(weights, alpha)
-        s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr)
+        s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, rows if s_indptr is indptr else None)
         if "d3" in metrics:
             # total weight: undirected edges are counted once, arcs all summed
             total = graph.total_weight()
-            denom = s_alpha[indices] - wpow + 1.0
-            out["d3"] = vector("d3", segment_sum(weights * np.log10(total / denom), indptr))
+            per_edge = s_alpha[indices]
+            per_edge -= np.power(weights, alpha)
+            per_edge += 1.0
+            np.divide(total, per_edge, out=per_edge)
+            np.log10(per_edge, out=per_edge)
+            np.multiply(weights, per_edge, out=per_edge)
+            out["d3"] = vector("d3", row_sums(per_edge))
+            del per_edge
         if "d4" in metrics:
-            out["d4"] = vector("d4", segment_sum(np.power(weights, alpha + 1.0) / s_alpha[indices], indptr))
+            per_edge = np.power(weights, alpha + 1.0)
+            per_edge /= s_alpha[indices]
+            out["d4"] = vector("d4", row_sums(per_edge))
+            del per_edge
 
     if "d5" in metrics:
-        out["d5"] = vector("d5", segment_sum(1.0 / np.power(deg_f[indices], alpha), indptr))
+        per_edge = deg_f[indices]
+        np.power(per_edge, alpha, out=per_edge)
+        np.divide(1.0, per_edge, out=per_edge)
+        out["d5"] = vector("d5", row_sums(per_edge))
 
     return {m: out[m] for m in metrics}
 

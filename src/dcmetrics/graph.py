@@ -286,33 +286,41 @@ def _merge_parallel(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, BuildReport]:
     """Endpoints (as first seen), merged weight and first position of each
     distinct pair. ``bincount`` adds in input order, like a sequential
-    ``+=``; a function of its own so its temporaries are freed early."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    ``+=``; a function of its own so its temporaries are freed early, and
+    each of them is dropped once used."""
+    src, dst = np.asarray(src), np.asarray(dst)
     w = np.asarray(w, dtype=np.float64)
     keep = src != dst
     src, dst, w = src[keep], dst[keep], w[keep]
-    key = src * n + dst if directed else np.minimum(src, dst) * n + np.maximum(src, dst)
+    # the pair key in int64: n * n overflows int32 from n = 46,341
+    key = (src if directed else np.minimum(src, dst)).astype(np.int64)
+    key *= n
+    key += dst if directed else np.maximum(src, dst)
     first, inverse = first_inverse(key)
-    merged = np.bincount(inverse, weights=w, minlength=first.size)
     report = BuildReport(merged_edges=int(key.size - first.size), self_loops_dropped=int(keep.size - key.size))
+    del key, keep
+    merged = np.bincount(inverse, weights=w, minlength=first.size)
     return src[first], dst[first], merged, first, report
 
 
-def first_inverse(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_inverse(key: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
     """What ``np.unique(key, return_index=True, return_inverse=True)`` gives
     after the values: the first position of each distinct value, in value
-    order, and the group of every element. One quicksort ``argsort``, about
-    twice as fast as np.unique's stable sort; it leaves the positions within
-    a run of equal values unordered, so each run takes their minimum."""
+    order, and the group of every element, as ``dtype``. One quicksort
+    ``argsort``, about twice as fast as np.unique's stable sort; it leaves
+    the positions within a run of equal values unordered, so each run takes
+    their minimum."""
     order = np.argsort(key)
     sorted_key = key[order]
     starts_run = np.empty(key.size, dtype=bool)
     starts_run[:1] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts_run[1:])
+    del sorted_key
     first = np.minimum.reduceat(order, np.flatnonzero(starts_run))
-    inverse = np.empty(key.size, dtype=np.intp)
-    inverse[order] = np.cumsum(starts_run) - 1
+    groups = np.cumsum(starts_run, dtype=dtype)
+    groups -= 1
+    inverse = np.empty(key.size, dtype=dtype)
+    inverse[order] = groups
     return first, inverse
 
 
@@ -321,13 +329,18 @@ def _csr_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only CSR with an entry (rows[k][e], cols[k][e], merged[e]) for
     each part k and pair e, rows ordered by first position. Positions are
-    unique, so one argsort of row * bound + position is that order (far
-    faster than ``np.lexsort``)."""
+    unique, so one argsort of row * bound + position, in int64, is that
+    order (far faster than ``np.lexsort``)."""
     bound = int(first.max(initial=0)) + 1
-    order = np.argsort(np.concatenate([row * bound + first for row in rows]))
+    keys = np.empty((len(rows), first.size), dtype=np.int64)
+    for part, row in zip(keys, rows):
+        np.multiply(row, bound, out=part, dtype=np.int64)
+        part += first
+    order = np.argsort(keys, axis=None)
+    del keys
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sum(np.bincount(row, minlength=n) for row in rows), out=indptr[1:])
-    indices = np.concatenate(cols)[order]
+    indices = np.concatenate(cols)[order].astype(np.int64, copy=False)
     order %= max(first.size, 1)  # entry -> pair
     csr = (indptr, indices, merged[order])
     for a in csr:
@@ -340,13 +353,14 @@ def _entry_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
-def segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+def segment_sum(values: np.ndarray, indptr: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Per-row sums of a CSR value array. Rows are contiguous, so the
-    accumulation order within each row is the storage order (deterministic)."""
+    accumulation order within each row is the storage order (deterministic).
+    ``rows`` is ``_entry_rows(indptr)``, for a caller that already has it."""
     n = indptr.size - 1
     if values.size == 0:
         return np.zeros(n)
-    return np.bincount(_entry_rows(indptr), weights=values, minlength=n)
+    return np.bincount(_entry_rows(indptr) if rows is None else rows, weights=values, minlength=n)
 
 
 def _require_edges(graph: Graph) -> None:

@@ -1,5 +1,7 @@
 r"""File formats: tab-separated edge lists, a minimal GEXF subset, and
-CSV/JSON result tables.
+CSV/JSON result tables. A ResultTable holds the score arrays and writes
+its CSV and JSON as a stream of text blocks (``csv_blocks``,
+``json_blocks``), so the text of the whole table never has to exist.
 
 Edge-list format (UTF-8, LF, '.' decimal point regardless of locale):
 
@@ -17,12 +19,14 @@ survives a write/parse round trip (``strip`` removes one at either end).
 
 Two readers build the same Graph. ``parse_edge_list`` runs the array reader
 of ``dcmetrics.bytereader`` (imported by the first parse, so commands that
-read no file do not load it) over the text's UTF-8 bytes: numpy finds the line and tab boundaries and
-strips ASCII whitespace (bytes 9-13 and 28-32, what ``str.strip`` removes
-from ASCII text) on offset arrays; labels are interned by a hash of their
-bytes, checked byte for byte, so that only the distinct labels become
-Python strings. Weights written as 1 to 15 ASCII digits, with or without a
-decimal point, are read in arrays, every other weight text by ``float()``.
+read no file do not load it) over the text's UTF-8 bytes, in blocks of
+whole lines: numpy finds the line and tab boundaries and strips ASCII
+whitespace (bytes 9-13 and 28-32, what ``str.strip`` removes from ASCII
+text) on offset arrays; labels are interned by a hash of their bytes
+taken a word (8 bytes) at a time, checked word for word, so that only the
+distinct labels become Python strings. Weights written as 1 to 15 ASCII
+digits, with or without a decimal point, are read in arrays, every other
+weight text by ``float()``.
 It hands the document to the line-by-line reader when that reader would
 raise (any ParseError, a bare CR, no edges), when the text holds a
 whitespace character above U+007F (``str.strip`` removes those, byte
@@ -37,6 +41,7 @@ import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +60,8 @@ __all__ = [
 
 
 _BARE_CR = re.compile(r"\r(?!\n)")
+_quote = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
+_BLOCK_ROWS = 8192  # table rows (JSON: list items) per block of text; 0.4 MB of CSV at five columns
 # a label the reader cannot give back (re's \s is str.isspace)
 _UNWRITABLE = re.compile(r"[\t\n\r]|\A[#\s]|\s\Z")
 
@@ -255,10 +262,11 @@ def _column_name(vector: CentralityVector) -> str:
 @dataclass(frozen=True)
 class ResultTable:
     """Scores laid out nodes-by-metrics; column order is insertion order,
-    node order is graph order."""
+    node order is graph order. Each column is a name and a float64 array
+    of scores (``from_vectors`` keeps the vectors' arrays, not copies)."""
 
     labels: tuple[str, ...]
-    columns: tuple[tuple[str, tuple[float, ...]], ...]
+    columns: tuple[tuple[str, np.ndarray], ...]
 
     @classmethod
     def from_vectors(cls, vectors: list[CentralityVector]) -> "ResultTable":
@@ -270,26 +278,68 @@ class ResultTable:
                 raise ValueError("all vectors in a table must share the node set and order")
         return cls(
             labels=labels,
-            columns=tuple(
-                (_column_name(v), tuple(np.asarray(v.values, dtype=np.float64).tolist())) for v in vectors
-            ),
+            columns=tuple((_column_name(v), np.asarray(v.values, dtype=np.float64)) for v in vectors),
         )
 
-    def to_csv(self) -> str:
-        """CSV with 6-significant-digit cells, ',' separators, LF endings.
-
-        Every row goes through one %-template; ``"%.6g" % x`` gives the same
-        text as ``format(x, ".6g")`` for every float, nan and inf included.
-        """
+    def csv_blocks(self) -> Iterator[str]:
+        """The text of ``to_csv``: the header line, then blocks of
+        _BLOCK_ROWS rows, each ending in LF. A block formats its rows from
+        ``tolist()`` slices of the columns through one %-template;
+        ``"%.6g" % x`` gives the same text as ``format(x, ".6g")`` for every
+        float, nan and inf included."""
         names = [name for name, _ in self.columns]
+        values = [np.asarray(vals, dtype=np.float64) for _, vals in self.columns]
         template = "%s," + ",".join(["%.6g"] * len(names))
-        rows = map(template.__mod__, zip(self.labels, *(vals for _, vals in self.columns)))
-        return "\n".join(["node," + ",".join(names), *rows]) + "\n"
+        yield "node," + ",".join(names) + "\n"
+        for part in _blocks(len(self.labels)):
+            rows = zip(self.labels[part], *(v[part].tolist() for v in values))
+            yield "\n".join(map(template.__mod__, rows)) + "\n"
+
+    def to_csv(self) -> str:
+        """CSV with 6-significant-digit cells, ',' separators, LF endings."""
+        return "".join(self.csv_blocks())
 
     def to_json(self) -> str:
         """JSON with full double precision."""
-        payload = {
-            "nodes": list(self.labels),
-            "columns": [{"name": name, "values": list(vals)} for name, vals in self.columns],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return "".join(self.json_blocks())
+
+    def json_blocks(self) -> Iterator[str]:
+        """The text of ``to_json``, in blocks of up to _BLOCK_ROWS labels or
+        values: the bytes ``json.dumps`` gives the nodes and ``tolist()``
+        columns with ``indent=2``. Labels and names are quoted by the
+        encoder json uses, values written by ``float.__repr__``, non-finite
+        ones as NaN, Infinity and -Infinity."""
+        labels = self.labels
+        yield '{\n  "nodes": '
+        yield from _json_array((list(map(_quote, labels[part])) for part in _blocks(len(labels))), 4)
+        yield ',\n  "columns": ' + ("[" if self.columns else "[]")
+        for k, (name, vals) in enumerate(self.columns):
+            yield (",\n" if k else "\n") + '    {\n      "name": ' + _quote(name) + ',\n      "values": '
+            vals = np.asarray(vals, dtype=np.float64)
+            yield from _json_array((_json_floats(vals[part]) for part in _blocks(vals.size)), 8)
+            yield "\n    }"
+        yield "\n  ]\n}\n" if self.columns else "\n}\n"
+
+
+def _blocks(size: int) -> Iterator[slice]:
+    """Slices of _BLOCK_ROWS items that cover ``size`` items."""
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS))
+
+
+def _json_array(parts: Iterator[list[str]], indent: int) -> Iterator[str]:
+    """An array as ``json.dumps(..., indent=2)`` lays it out at ``indent``
+    spaces, from its items' texts in parts: "[]" when empty."""
+    sep = ",\n" + " " * indent
+    opened = False
+    for items in parts:
+        yield ("[\n" + " " * indent if not opened else sep) + sep.join(items)
+        opened = True
+    yield "\n" + " " * (indent - 2) + "]" if opened else "[]"
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON text of each value, as ``json.dumps`` writes it."""
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = "NaN" if texts[i] == "nan" else "Infinity" if texts[i] == "inf" else "-Infinity"
+    return texts

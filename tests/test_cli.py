@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from dcmetrics import BASELINES, METRICS, all_distinctiveness, baseline, build_graph, builtin_dataset, rank
+from dcmetrics import cli, io
 from dcmetrics.cli import run_cli
 from naive import naive_compare_csv, naive_rank_csv
 
@@ -388,3 +390,57 @@ class TestByteOrderMark:
             )
             assert (code, err) == (0, "")
             assert out.splitlines()[1] == "d1@a,1,1"
+
+
+class TestStreamedOutput:
+    """``compute`` scores every vector before it opens its output, then
+    writes the table in blocks; every command hands ``_emit`` blocks, not
+    a bare string."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scoring_error_writes_nothing(self, capsys, tmp_path, fmt):
+        target = tmp_path / "scores.out"
+        for output in ([], ["-o", str(target)]):
+            # alpha 1 is scored, then alpha 0.5 fails without --relaxed-alpha
+            code, out, err = run(capsys, "compute", "--dataset", "zachary", "--alpha", "1,0.5",
+                                 "--format", fmt, *output)
+            assert (code, out) == (1, "")
+            assert "alpha must be >= 1" in err
+        assert not target.exists()
+
+    def test_blocks_to_stdout_and_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 5)  # zachary's 34 rows in 7 blocks
+        expected = io.ResultTable.from_vectors(list(all_distinctiveness(builtin_dataset("zachary")).values()))
+        code, out, _ = run(capsys, "compute", "--dataset", "zachary")
+        assert (code, out) == (0, expected.to_csv())
+        target = tmp_path / "scores.csv"
+        assert run(capsys, "compute", "--dataset", "zachary", "-o", str(target))[:2] == (0, "")
+        assert target.read_bytes() == expected.to_csv().encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--dataset", "toy-undirected"],
+        ["compute", "--dataset", "toy-undirected", "--format", "json"],
+        ["rank", "--dataset", "florentine", "--metric", "d2"],
+        ["compare", "--dataset", "florentine"],
+        ["generate", "--n", "30", "--m-attach", "2"],
+        ["sweep", "--n", "12", "--ensemble", "2", "--alphas", "1"],
+        ["datasets"],
+    ])
+    def test_every_command_emits_blocks(self, capsys, monkeypatch, argv):
+        seen = []
+        emit = cli._emit
+
+        def record(args, blocks):
+            seen.append(type(blocks))
+            emit(args, blocks)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert len(seen) == 1 and not issubclass(seen[0], str)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "  \n\t\n<gexf>\n", "A\tB\n", "\n\n <a>\tb\t1\n", "\u2028<x>", "<only", " \x1c\n#c\nA\tB",
+    ])
+    def test_first_line_sniff_matches_lstrip(self, text):
+        assert re.match(cli._FIRST_LINE, text)[1] == text.lstrip().partition("\n")[0]

@@ -2,6 +2,8 @@ import json
 import math
 import re
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,98 @@ class TestArrayReaderMatchesLoop:
         assert len(bytereader._UNICODE_SPACE.findall("".join(map(chr, range(128, 0x3001))))) == len(others)
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+class TestBlockReader:
+    """``_layout`` reads whole lines a block at a time and the interning
+    hashes and compares fields a slice at a time; with both sizes tiny,
+    every line and field sits at a block edge."""
+
+    @pytest.fixture(autouse=True, params=[0, 1, 9])
+    def tiny_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(bytereader, "_BLOCK", request.param)
+        monkeypatch.setattr(bytereader, "_FIELDS", request.param + 2)
+
+    def check(self, text):
+        graph = bytereader.read_edge_list(text)
+        assert graph is not None, text
+        assert_same_graph(graph, io._parse_lines(text))
+        return graph
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_datasets(self, name):
+        self.check((DATA / f"{name}.tsv").read_text(encoding="utf-8"))
+        self.check(write_edge_list(builtin_dataset(name)))
+
+    def test_round_trip_documents(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = st.text(min_size=1, max_size=10).filter(
+            lambda s: not any(c in s for c in "\t\n\r") and s == s.strip() and not s.startswith("#")
+        )
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(
+            edges=st.lists(st.tuples(labels, labels, st.sampled_from([1.0, 2.5, 7.0])), min_size=1, max_size=12),
+            nodes=st.lists(labels, max_size=3),
+            directed=st.booleans(),
+        )
+        def same_graph(edges, nodes, directed):
+            g = build_graph(edges, directed=directed, nodes=nodes)
+            hypothesis.assume(g.edge_count > 0)
+            text = write_edge_list(g)
+            if not _has_unicode_space(text):
+                self.check(text)
+
+        same_graph()
+
+    def test_directive_after_comments_across_blocks(self):
+        comments = "".join(f"# comment {i}\n\n   \n" for i in range(5))
+        assert self.check(comments + " directed \nA\tB\t2\nB\tA\n").directed
+        assert bytereader.read_edge_list(comments + "sideways\nA\tB\n") is None
+        assert not self.check(comments + "A\tB\t2\nB\tC\n").directed
+
+    def test_crlf_lines_at_block_edges(self):
+        self.check("undirected\r\n# c\r\nA\tB\t2\r\nB\tC\r\nZ\r\nC\tA\t1.5\r\n\r\n")
+
+    @pytest.mark.parametrize("text", [
+        "A\tB", "A\tB\t2\nB\tC", "A\tB\t2\nB\tCDEFGHI", "A\tB\t2\nB\tCDEFGHIJ", "A\tBCDEFG\t3",
+        "x\tyz", "directed\nA\tB\t2\nZ",
+    ])
+    def test_no_final_lf_and_labels_in_the_last_bytes(self, text):
+        self.check(text)
+
+    def test_labels_at_word_and_long_edges(self):
+        lines = ["undirected"]
+        for size in (7, 8, 9, 64, 65):
+            base = "".join(chr(97 + (i * 7) % 26) for i in range(size))
+            first, last = "Z" + base[1:], base[:-1] + "Z"  # differ from base in one byte
+            lines += [f"{base}\t{first}\t1", f"{last}\t{base}\t2", f"{first}\t{last}"]
+        graph = self.check("\n".join(lines) + "\n")
+        assert graph.n == 15
+
+    def test_nul_byte_is_part_of_a_label(self):
+        graph = self.check("a\ta\x00\t1\na\x00\tb\na\tb\t3\n\x00\ta\n")
+        assert graph.nodes == ("a", "a\x00", "b", "\x00")
+
+    def test_short_labels_hash_apart(self):
+        # every byte value but the separator, lengths 1 to 7
+        rng = np.random.default_rng(4)
+        labels = {bytes(rng.integers(0, 256, size=int(rng.integers(1, 8)), dtype=np.uint8)) for _ in range(20000)}
+        labels = sorted(label for label in labels if 9 not in label)
+        raw = b"\t".join(labels)
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        hi = np.append(np.flatnonzero(buf == 9), buf.size).astype(np.int32)
+        lo = np.append(0, hi[:-1] + 1).astype(np.int32)
+        assert [raw[a:b] for a, b in zip(lo.tolist(), hi.tolist())] == labels
+        assert np.unique(bytereader._hash_fields(buf, raw, lo, hi)).size == len(labels)
+
+
+def _has_unicode_space(text):
+    return bytereader._UNICODE_SPACE.search(text) is not None
+
+
 class TestRoundTripProperty:
     def test_writable_graphs_round_trip_exactly(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -464,10 +558,82 @@ class TestResultTable:
         ]
         table = ResultTable.from_vectors(vectors)
         for (_, vals), vec in zip(table.columns, vectors):
-            assert all(type(x) is float for x in vals)
+            assert vals.dtype == np.float64
             assert np.array_equal(np.array(vals).view(np.int64), vec.values.view(np.int64))
         nonfinite = ResultTable(labels=("α", "β", "γ"), columns=(("x", (math.nan, math.inf, -math.inf)),))
         no_columns = ResultTable(labels=labels, columns=())
         for t in (table, nonfinite, no_columns):
             assert t.to_csv() == naive_to_csv(t)
         assert table.to_csv().splitlines()[1] == "Zürich,-0,9.0072e+15"
+
+
+def _json_reference(table):
+    payload = {"nodes": list(table.labels),
+               "columns": [{"name": name, "values": np.asarray(v).tolist()} for name, v in table.columns]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _awkward_values(rng, size):
+    """Random doubles of every magnitude, with nan, +-inf, -0.0 and the
+    smallest subnormal among them."""
+    values = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64).copy()
+    values[rng.integers(0, size, size=8)] = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16]
+    return values
+
+
+class TestResultTableBlocks:
+    """``csv_blocks`` against the per-cell reference at block edges, and
+    ``to_json`` against ``json.dumps`` of the columns."""
+
+    @pytest.mark.parametrize("rows", [io._BLOCK_ROWS - 1, io._BLOCK_ROWS, io._BLOCK_ROWS + 1])
+    def test_csv_at_block_edges(self, rows):
+        rng = np.random.default_rng(rows)
+        labels = tuple(f"n{i}" for i in range(rows))
+        table = ResultTable(labels, (("a", _awkward_values(rng, rows)), ("b@2", _awkward_values(rng, rows))))
+        blocks = list(table.csv_blocks())
+        assert len(blocks) == 1 + -(-rows // io._BLOCK_ROWS)
+        assert all(block.endswith("\n") for block in blocks)
+        assert "".join(blocks) == table.to_csv() == naive_to_csv(table)
+
+    def test_zero_columns_and_zero_rows(self):
+        for table in (ResultTable(("a", "b"), ()), ResultTable((), (("x", np.zeros(0)),)), ResultTable((), ())):
+            assert table.to_csv() == naive_to_csv(table)
+            assert table.to_json() == _json_reference(table)
+
+    @pytest.mark.parametrize("rows", [3, 4, 5, 9])
+    def test_json_matches_json_dumps(self, monkeypatch, rows):
+        monkeypatch.setattr(io, "_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(rows)
+        labels = ("Zürich", "東京", "a\"b", "c\\d", "😀", "x,y", "tab\there", "\x00", "\u2028") [:rows]
+        labels += tuple(f"n{i}" for i in range(rows - len(labels)))
+        columns = (("d1@1", _awkward_values(rng, rows)), ("d5-in@2.5:norm", _awkward_values(rng, rows)),
+                   ("Ω", np.arange(rows) * 0.1))
+        for k in range(1, 4):
+            table = ResultTable(labels, columns[:k])
+            assert "".join(table.json_blocks()) == table.to_json() == _json_reference(table)
+
+    def test_table_keeps_the_score_arrays(self, toy):
+        vectors = list(all_distinctiveness(toy, alpha=2).values())
+        table = ResultTable.from_vectors(vectors)
+        assert all(vals is vec.values for (_, vals), vec in zip(table.columns, vectors))
+
+
+class TestParseMemory:
+    """The parse holds memory in proportion to the graph: a temporary the
+    size of the whole text per byte, or several int64 arrays per line,
+    would push the traced peak past the bound. The array reader peaks near
+    8 times the input bytes on this list (the whole-text reader it replaced
+    peaked over 10 times)."""
+
+    def test_parse_peak(self):
+        rng = np.random.default_rng(5)
+        u, v, w = rng.integers(0, 30_000, 100_000), rng.integers(0, 30_000, 100_000), rng.integers(1, 21, 100_000)
+        text = "undirected\n" + "".join(map("u%d\tu%d\t%d\n".__mod__, zip(u.tolist(), v.tolist(), w.tolist())))
+        tracemalloc.start()
+        try:
+            graph = parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count > 99_000
+        assert peak < 9 * len(text.encode())
