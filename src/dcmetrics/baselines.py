@@ -30,10 +30,17 @@ per source, which ``tests/naive.py`` keeps as the reference:
   tail first: the loop's stack-pop order;
 - the per-source dependencies are added into the scores in source order.
 
-Weighted, both run one Dijkstra loop, ``_dijkstra``, with a binary heap per
-source over per-node Python lists, with a fixed visit order and tie rule
-(float path lengths compared with ``==``), so they too are reproducible bit
-for bit.
+Weighted, both run ``_dijkstra``: a binary heap per source over the CSR
+arrays as flat Python lists, with a fixed visit order and tie rule (path
+lengths compared with ``==``), so they too are reproducible bit for bit.
+
+Constraint and effective size sum over triangles: per stored entry
+e = (i, j) and common neighbour q, the entries f = (i, q) and x = (j, q).
+``_triangles`` lists them with one join over the CSR, sorted by (e, f): the
+order of a loop over the egos i, their alters j, then their alters q, which
+``tests/naive.py`` keeps as the reference. The sums keep that loop's bits:
+``np.bincount`` adds in array order from 0.0, a constraint sum starts at
+p_ij as the loop's does, and a q not tied to j adds 0.0 there or is skipped.
 """
 
 from __future__ import annotations
@@ -61,9 +68,10 @@ __all__ = [
 
 BASELINES = ("degree", "closeness", "betweenness", "eigenvector", "constraint", "effective-size")
 
-# A breadth-first block takes as many sources as keep sources x (nodes +
-# arcs) within this many cells: that bounds its per-cell arrays and the arc
-# lists it keeps for every level.
+# Bounds the arrays of a block: a breadth-first block takes as many sources
+# as keep sources x (nodes + arcs) within this many cells (its per-cell
+# arrays and the arc lists it keeps per level), a triangle block as many
+# entries as keep their row lookups within this many.
 _BLOCK_CELLS = 1 << 20
 
 
@@ -92,20 +100,6 @@ def degree_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
     else:
         values = graph.out_degrees().astype(np.float64)
     return _vector(graph, "degree", weighted, values)
-
-
-def _row_lists(graph: Graph, values: np.ndarray) -> list[list]:
-    """Split a per-entry CSR array into per-node lists of plain Python
-    ints or floats, in CSR order: the Python loops below index them many
-    times per node, which numpy scalars make slow."""
-    bounds = graph.indptr.tolist()
-    flat = values.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _adjacency_lists(graph: Graph) -> tuple[list[list[int]], list[list[float]]]:
-    """Per-node neighbour lists and, alongside, their arc lengths 1/weight."""
-    return _row_lists(graph, graph.indices), _row_lists(graph, 1.0 / graph.weights)
 
 
 def _blocks(graph: Graph) -> list[tuple[int, int]]:
@@ -171,48 +165,50 @@ def _hop_distance_sums(graph: Graph) -> list[int]:
     return sums
 
 
-def _dijkstra(nbrs: list[list[int]], lengths: list[list[float]], s: int):
-    """Dijkstra from source s over arc lengths: the nodes in the order they
-    are settled, and per node its distance, its shortest-path count and its
-    predecessors on shortest paths. Ties are exact ``==`` on path lengths."""
-    n = len(nbrs)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    sigma = [0.0] * n
-    sigma[s] = 1.0
-    dist = [math.inf] * n
-    dist[s] = 0.0
-    order: list[int] = []
-    seen = [False] * n
-    heap = [(0.0, s)]
-    while heap:
-        d, i = heapq.heappop(heap)
-        if seen[i]:
-            continue
-        seen[i] = True
-        order.append(i)
-        for j, length in zip(nbrs[i], lengths[i]):
-            nd = d + length
-            if nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-                sigma[j] = sigma[i]
-                preds[j] = [i]
-            elif nd == dist[j] and not seen[j]:
-                sigma[j] += sigma[i]
-                preds[j].append(i)
-    return order, dist, sigma, preds
+def _dijkstra(graph: Graph):
+    """Dijkstra from each source in turn over arc lengths 1/weight: per
+    source, the nodes in the order they are settled, and per node its
+    distance, its shortest-path count and its predecessors on shortest
+    paths. Ties are exact ``==`` on path lengths."""
+    n = graph.n
+    # plain Python ints and floats, which the loop indexes faster than numpy
+    indptr, indices, lengths = graph.indptr.tolist(), graph.indices.tolist(), (1.0 / graph.weights).tolist()
+    for s in range(n):
+        preds: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        sigma[s] = 1.0
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        order: list[int] = []
+        seen = [False] * n
+        heap = [(0.0, s)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if seen[i]:
+                continue
+            seen[i] = True
+            order.append(i)
+            for k in range(indptr[i], indptr[i + 1]):
+                j = indices[k]
+                nd = d + lengths[k]
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+                    sigma[j] = sigma[i]
+                    preds[j] = [i]
+                elif nd == dist[j] and not seen[j]:
+                    sigma[j] += sigma[i]
+                    preds[j].append(i)
+        yield order, dist, sigma, preds
 
 
 def _dijkstra_distance_sums(graph: Graph) -> list[float]:
     """Sum of shortest-path lengths over arc lengths 1/weight from each source."""
-    nbrs, lengths = _adjacency_lists(graph)
     sums: list[float] = []
-    for s in range(graph.n):
-        dist = np.array(_dijkstra(nbrs, lengths, s)[1])
-        unreachable = np.nonzero(np.isinf(dist))[0]
-        if unreachable.size:
-            raise _no_path(graph, s, int(unreachable[0]))
-        sums.append(float(dist.sum()))
+    for s, (_, dist, _, _) in enumerate(_dijkstra(graph)):
+        if math.inf in dist:
+            raise _no_path(graph, s, dist.index(math.inf))
+        sums.append(float(np.array(dist).sum()))
     return sums
 
 
@@ -253,10 +249,8 @@ def _hop_betweenness(graph: Graph) -> np.ndarray:
 
 def _dijkstra_betweenness(graph: Graph) -> np.ndarray:
     n = graph.n
-    nbrs, lengths = _adjacency_lists(graph)
     score = [0.0] * n
-    for s in range(n):
-        order, _, sigma, preds = _dijkstra(nbrs, lengths, s)
+    for s, (order, _, sigma, preds) in enumerate(_dijkstra(graph)):
         delta = [0.0] * n
         for w in reversed(order):
             for v in preds[w]:
@@ -298,47 +292,70 @@ def eigenvector_centrality(
     weights = graph.weights if weighted else np.ones_like(graph.weights)
     rows = _entry_rows(graph.indptr)  # segment_sum would rebuild these on every step
     x = np.full(n, 1.0 / np.sqrt(n))
-    for iteration in range(1, max_iter + 1):
-        y = np.bincount(rows, weights=weights * x[graph.indices], minlength=n) + x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            raise ConvergenceError("power iteration collapsed to the zero vector", iteration)
-        y /= norm
-        if float(np.linalg.norm(y - x)) < tol:
-            return _vector(graph, "eigenvector", weighted, y)
-        x = y
+    with np.errstate(over="ignore"):  # y >= x > 0, so any overflow makes the norm inf
+        for iteration in range(1, max_iter + 1):
+            y = np.bincount(rows, weights=weights * x[graph.indices], minlength=n) + x
+            norm = float(np.linalg.norm(y))
+            if norm == math.inf:
+                message = f"power iteration overflows float64 at the largest weight {float(weights.max())!r}"
+                raise ConvergenceError(message, iteration)
+            y /= norm
+            if float(np.linalg.norm(y - x)) < tol:
+                return _vector(graph, "eigenvector", weighted, y)
+            x = y
     raise ConvergenceError(f"power iteration did not reach tolerance {tol:g}", max_iter)
 
 
-def _neighbor_weight_maps(graph: Graph) -> list[dict[int, float]]:
-    rows = zip(_row_lists(graph, graph.indices), _row_lists(graph, graph.weights))
-    return [dict(zip(nbrs, weights)) for nbrs, weights in rows]
+def _triangles(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stored entry e = (i, j) with every common neighbour q of i and
+    j, as the entries e, f = (i, q) and x = (j, q), sorted by (e, f). Each
+    entry walks the shorter of its two rows and looks the nodes up in the
+    other through the sorted keys ``row * n + col``, in blocks of at most
+    ``_BLOCK_CELLS`` lookups (or of one entry)."""
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    rows = _entry_rows(indptr)
+    keys = rows * n + indices
+    order = np.argsort(keys)
+    keys = keys[order]
+    degree = np.diff(indptr)
+    swap = degree[indices] < degree[rows]  # walk row j, look up in row i
+    walk, other = np.where(swap, indices, rows), np.where(swap, rows, indices)
+    starts = np.concatenate(([0], np.cumsum(degree[walk])))  # of each entry's walk, laid end to end
+    parts, lo = [(np.zeros(0, dtype=np.int64),) * 3], 0
+    while lo < indices.size:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _BLOCK_CELLS, "right")) - 1)
+        sizes = degree[walk[lo:hi]]
+        e = np.repeat(np.arange(lo, hi), sizes)
+        walked = np.repeat(indptr[walk[lo:hi]] - starts[lo:hi] + starts[lo], sizes) + np.arange(e.size)
+        look = other[e] * n + indices[walked]
+        found = np.minimum(np.searchsorted(keys, look), keys.size - 1)
+        hit = keys[found] == look
+        e, walked, found = e[hit], walked[hit], order[found[hit]]
+        f, x = np.where(swap[e], found, walked), np.where(swap[e], walked, found)
+        by = np.argsort(e * indices.size + f)
+        parts.append((e[by], f[by], x[by]))
+        lo = hi
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _proportions(row: dict[int, float], weighted: bool) -> dict[int, float]:
+def _proportions(graph: Graph, weighted: bool, ends: np.ndarray) -> np.ndarray:
+    """Each entry's weight over the strength of its node in ``ends``, or 1/degree."""
     if weighted:
-        strength = sum(row.values())
-        return {j: w / strength for j, w in row.items()}
-    deg = len(row)
-    return {j: 1.0 / deg for j in row}
+        return graph.weights / segment_sum(graph.weights, graph.indptr)[ends]
+    return 1.0 / np.diff(graph.indptr)[ends]
 
 
 def burt_constraint(graph: Graph, weighted: bool = False) -> CentralityVector:
     """Burt's constraint: sum over neighbors j of (p_ij + sum_q p_iq p_qj)^2,
     with p the proportional tie strength. Isolates score 0 and are flagged."""
     _require_undirected(graph, "constraint")
-    nbr = _neighbor_weight_maps(graph)
-    p = [_proportions(row, weighted) for row in nbr]
-    values = np.zeros(graph.n)
-    for i in range(graph.n):
-        total = 0.0
-        for j in p[i]:
-            local = p[i][j]
-            for q, p_iq in p[i].items():
-                if q != j:
-                    local += p_iq * p[q].get(j, 0.0)
-            total += local * local
-        values[i] = total
+    e, f, x = _triangles(graph)
+    rows = _entry_rows(graph.indptr)
+    p = _proportions(graph, weighted, rows)
+    p_qj = _proportions(graph, weighted, graph.indices)[x]  # x = (j, q) as a share of q's ties
+    # each entry's sum starts at p_ij, then adds its terms in (e, f) order
+    local = np.bincount(np.concatenate((np.arange(p.size), e)), weights=np.concatenate((p, p[f] * p_qj)))
+    values = segment_sum(local * local, graph.indptr, rows)
     return _vector(graph, "constraint", weighted, values)
 
 
@@ -351,33 +368,18 @@ def effective_size(graph: Graph, weighted: bool = False) -> CentralityVector:
     is normalized by the alter's maximum tie strength.
     """
     _require_undirected(graph, "effective size")
-    nbr = _neighbor_weight_maps(graph)
-    values = np.zeros(graph.n)
-    for i in range(graph.n):
-        alters = nbr[i]
-        if not alters:
-            continue
-        if not weighted:
-            ties = 0
-            for v in alters:
-                for w in nbr[v]:
-                    if w != i and w in alters:
-                        ties += 1
-            k = len(alters)
-            values[i] = k - (ties / k)  # each tie counted from both ends
-        else:
-            p_i = _proportions(alters, True)
-            total = 0.0
-            for v in alters:
-                m_max = max(nbr[v].values())
-                redundancy = 0.0
-                for q, p_iq in p_i.items():
-                    w_vq = nbr[v].get(q)
-                    if q == v or w_vq is None:
-                        continue
-                    redundancy += p_iq * (w_vq / m_max)
-                total += 1.0 - redundancy
-            values[i] = total
+    e, f, x = _triangles(graph)
+    indptr, weights = graph.indptr, graph.weights
+    rows = _entry_rows(indptr)
+    if weighted:
+        row_max = np.zeros(graph.n)
+        np.maximum.at(row_max, rows, weights)
+        terms = _proportions(graph, True, rows)[f] * (weights[x] / row_max[rows[x]])
+        values = segment_sum(1.0 - np.bincount(e, weights=terms, minlength=weights.size), indptr, rows)
+    else:
+        degree = np.diff(indptr)
+        ties = np.bincount(rows[e], minlength=graph.n)  # each tie counted from both ends
+        values = degree - ties / np.maximum(degree, 1)  # an isolate scores 0 - 0 / 1
     return _vector(graph, "effective-size", weighted, values)
 
 

@@ -305,25 +305,32 @@ def bounds(
     alpha = float(alpha)
     log_n1 = math.log10(n - 1)
 
-    if metric == "d1":
-        upper = M * (n - 1) * log_n1
-        lower = (1.0 - alpha) * M * (n - 1) * log_n1
-    elif metric == "d2":
-        upper = (n - 1) * log_n1
-        lower = (1.0 - alpha) * (n - 1) * log_n1
-    elif metric == "d3":
-        log_ratio = math.log10(((n - 2) * M + m) / ((n - 2) * M**alpha + 1.0))
-        if (n - 2) * (M**alpha - M) < m - 1.0:
-            lower = m * log_ratio
-        else:
-            lower = (n - 1) * M * log_ratio
-        upper = (n - 1) * M * math.log10(n * (n - 1) * M / 2.0)
-    elif metric == "d4":
-        upper = (n - 1) * M
-        lower = m / (1.0 + (n - 2) * (M / m) ** alpha)
-    else:  # d5
-        upper = float(n - 1)
-        lower = 1.0 / (n - 1) ** alpha
+    try:
+        if metric == "d1":
+            upper = M * (n - 1) * log_n1
+            lower = (1.0 - alpha) * M * (n - 1) * log_n1
+        elif metric == "d2":
+            upper = (n - 1) * log_n1
+            lower = (1.0 - alpha) * (n - 1) * log_n1
+        elif metric == "d3":
+            log_ratio = math.log10(((n - 2) * M + m) / ((n - 2) * M**alpha + 1.0))
+            if (n - 2) * (M**alpha - M) < m - 1.0:
+                lower = m * log_ratio
+            else:
+                lower = (n - 1) * M * log_ratio
+            upper = (n - 1) * M * math.log10(n * (n - 1) * M / 2.0)
+        elif metric == "d4":
+            upper = (n - 1) * M
+            lower = m / (1.0 + (n - 2) * (M / m) ** alpha)
+        else:  # d5
+            upper = float(n - 1)
+            lower = 1.0 / (n - 1) ** alpha
+        finite = math.isfinite(lower) and math.isfinite(upper)
+    except (OverflowError, ValueError):  # a power overflows, or log10 gets the 0 an overflow left
+        finite = False
+    if not finite:
+        raise ValueError(f"{metric} bounds are not finite in float64 at n={n}, "
+                         f"weights in [{m!r}, {M!r}], alpha={alpha!r}")
 
     return BoundsRecord(
         metric=metric, alpha=alpha, n=int(n), min_weight=m, max_weight=M, lower=lower, upper=upper

@@ -439,13 +439,73 @@ def naive_power_eigenvector(graph, weighted=False, tol=1e-10, max_iter=10000):
 
 
 def naive_neighbor_weight_maps(graph):
-    """Reference for ``baselines._neighbor_weight_maps``: one dict per node,
-    built by indexing the CSR arrays entry by entry."""
+    """One dict per node, built by indexing the CSR arrays entry by entry:
+    neighbour -> weight, in CSR order."""
     maps = []
     for i in range(graph.n):
         lo, hi = graph.indptr[i], graph.indptr[i + 1]
         maps.append({int(graph.indices[k]): float(graph.weights[k]) for k in range(lo, hi)})
     return maps
+
+
+def _naive_proportions(row, weighted):
+    if weighted:
+        strength = sum(row.values())
+        return {j: w / strength for j, w in row.items()}
+    deg = len(row)
+    return {j: 1.0 / deg for j in row}
+
+
+def naive_burt_constraint(graph, weighted=False):
+    """Bitwise reference for ``burt_constraint``: per ego, a loop over its
+    alters j and, for each, over its alters q, on per-node dicts."""
+    nbr = naive_neighbor_weight_maps(graph)
+    p = [_naive_proportions(row, weighted) for row in nbr]
+    values = np.zeros(graph.n)
+    for i in range(graph.n):
+        total = 0.0
+        for j in p[i]:
+            local = p[i][j]
+            for q, p_iq in p[i].items():
+                if q != j:
+                    local += p_iq * p[q].get(j, 0.0)
+            total += local * local
+        values[i] = total
+    return values
+
+
+def naive_effective_size(graph, weighted=False):
+    """Bitwise reference for ``effective_size``: per ego, a loop over its
+    alters v and over v's ties (unweighted) or the ego's alters (weighted),
+    on per-node dicts."""
+    nbr = naive_neighbor_weight_maps(graph)
+    values = np.zeros(graph.n)
+    for i in range(graph.n):
+        alters = nbr[i]
+        if not alters:
+            continue
+        if not weighted:
+            ties = 0
+            for v in alters:
+                for w in nbr[v]:
+                    if w != i and w in alters:
+                        ties += 1
+            k = len(alters)
+            values[i] = k - (ties / k)  # each tie counted from both ends
+        else:
+            p_i = _naive_proportions(alters, True)
+            total = 0.0
+            for v in alters:
+                m_max = max(nbr[v].values())
+                redundancy = 0.0
+                for q, p_iq in p_i.items():
+                    w_vq = nbr[v].get(q)
+                    if q == v or w_vq is None:
+                        continue
+                    redundancy += p_iq * (w_vq / m_max)
+                total += 1.0 - redundancy
+            values[i] = total
+    return values
 
 
 def naive_to_csv(table):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,13 +21,13 @@ from dcmetrics import (
 )
 from conftest import random_graph
 from dcmetrics import baselines
-from dcmetrics.baselines import _neighbor_weight_maps
 from naive import (
     naive_betweenness,
     naive_brandes_betweenness,
+    naive_burt_constraint,
     naive_closeness,
     naive_dijkstra_closeness,
-    naive_neighbor_weight_maps,
+    naive_effective_size,
     naive_power_eigenvector,
 )
 from reference_values import PRINT_TOL, TOY_BASELINES, matches_print
@@ -165,6 +166,16 @@ class TestEigenvector:
         g = build_graph([("A", "B", 1), ("C", "D", 1)])
         with pytest.raises(DisconnectedGraphError):
             eigenvector_centrality(g)
+
+    def test_overflow_names_the_largest_weight(self):
+        g = build_graph([("a", "b", 1e200), ("b", "c", 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(ConvergenceError, match=r"overflows float64 at the largest weight 1e\+200 \(after 1 "):
+                eigenvector_centrality(g, weighted=True)
+        # the same graph unweighted, and weights just below the overflow, converge
+        eigenvector_centrality(g)
+        eigenvector_centrality(build_graph([("a", "b", 1e150), ("b", "c", 1.0)]), weighted=True)
 
 
 class TestConstraint:
@@ -350,10 +361,56 @@ class TestEigenvectorMatchesReference:
             got = eigenvector_centrality(g, weighted=weighted, tol=tol).values
             assert np.array_equal(_bits(got), _bits(naive_power_eigenvector(g, weighted, tol)))
 
-    def test_neighbor_weight_maps(self, path_graphs):
-        for g in path_graphs:
-            got = [list(row.items()) for row in _neighbor_weight_maps(g)]
-            assert got == [list(row.items()) for row in naive_neighbor_weight_maps(g)]
+
+def _ego_graphs(path_graphs):
+    """The path graphs plus a hub-heavy graph, one with merged parallel
+    edges, self-loops, an isolate and weights from 1e-3 to 7e5, one with
+    self-loops only, and a dense one whose rows list their neighbours in
+    random orders, with weights in [1, 2) so that the order of a sum shows
+    in its bits."""
+    rng = np.random.default_rng(33)
+    dense = [(str(i), str(j), float(rng.uniform(1, 2))) for i in range(20) for j in range(i) if rng.random() < 0.6]
+    hubs = [(f"h{i % 3}", f"n{i}", float(rng.integers(1, 20))) for i in range(60)]
+    hubs += [(f"n{i}", f"n{i + 1}", 1.0) for i in range(0, 60, 2)] + [("h0", "h1", 2.0), ("h1", "h2", 3.0)]
+    src, dst = rng.integers(0, 15, 80), rng.integers(0, 15, 80)
+    messy = [(str(a), str(b), float(w)) for a, b, w in zip(src, dst, 10.0 ** rng.uniform(-3, 5.8, 80))]
+    return path_graphs + [
+        build_graph(hubs),
+        build_graph(messy, nodes=["isolate"]),
+        build_graph([("A", "A", 1.0), ("B", "B", 2.0)]),
+        build_graph([dense[k] for k in rng.permutation(len(dense))]),
+    ]
+
+
+class TestEgoBaselinesMatchReference:
+    """Constraint and effective size, run as one triangle join over the
+    CSR, against the per-node dict loops they replaced (tests/naive.py), bit
+    for bit. ``cells`` caps the lookups per block, so that several blocks
+    run; None keeps the module's cap."""
+
+    @pytest.mark.parametrize("cells", [None, 1, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_constraint_bitwise(self, path_graphs, monkeypatch, weighted, cells):
+        if cells is not None:
+            monkeypatch.setattr(baselines, "_BLOCK_CELLS", cells)
+        for g in _ego_graphs(path_graphs):
+            got = burt_constraint(g, weighted=weighted).values
+            assert np.array_equal(_bits(got), _bits(naive_burt_constraint(g, weighted)))
+
+    @pytest.mark.parametrize("cells", [None, 1, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_effective_size_bitwise(self, path_graphs, monkeypatch, weighted, cells):
+        if cells is not None:
+            monkeypatch.setattr(baselines, "_BLOCK_CELLS", cells)
+        for g in _ego_graphs(path_graphs):
+            got = effective_size(g, weighted=weighted).values
+            assert np.array_equal(_bits(got), _bits(naive_effective_size(g, weighted)))
+
+    def test_graphs_cover_the_cleanups(self, path_graphs):
+        *_, hubs, messy, loops_only, _ = _ego_graphs(path_graphs)
+        assert max(np.diff(hubs.indptr)) >= 20
+        assert messy.build_report.merged_edges and messy.build_report.self_loops_dropped
+        assert "isolate" in messy.isolates() and loops_only.indices.size == 0
 
 
 def _nx_graph(nx, g):

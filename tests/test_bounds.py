@@ -66,6 +66,27 @@ class TestBoundFormulas:
         with pytest.raises(ValueError):
             bounds("d1", n=6, alpha=0.5)
 
+    @pytest.mark.parametrize("metric, n, max_weight, alpha", [
+        ("d1", 100, 1e307, 3),  # both bounds were +-inf
+        ("d2", 10, 1.0, 1e308),  # the lower bound was -inf
+        ("d3", 10, 1e200, 2),  # M**alpha raised OverflowError
+        ("d3", 10, 1e307, 1),  # the upper bound was inf
+        ("d4", 10, 1e200, 2),  # (M/m)**alpha raised OverflowError
+        ("d5", 100, 1.0, 1000),  # (n-1)**alpha raised OverflowError
+    ])
+    def test_overflow_is_a_value_error(self, metric, n, max_weight, alpha):
+        message = (f"{metric} bounds are not finite in float64 at n={n}, "
+                   f"weights in [1.0, {float(max_weight)!r}], alpha={float(alpha)!r}")
+        with pytest.raises(ValueError) as err:
+            bounds(metric, n=n, max_weight=max_weight, alpha=alpha)
+        assert str(err.value) == message
+
+    def test_finite_bounds_near_overflow_kept(self):
+        # the same formulas as before, up to the last finite value
+        assert bounds("d5", n=100, alpha=150).lower == 1.0 / 99**150.0
+        assert bounds("d4", n=10, max_weight=1e150, alpha=2).lower == 1.0 / (1.0 + 8 * 1e150**2.0)
+        assert bounds("d1", n=100, max_weight=1e300, alpha=3).upper == 1e300 * 99 * math.log10(99)
+
 
 class TestContainment:
     @pytest.mark.parametrize("alpha", [1, 2, 5])

@@ -143,6 +143,16 @@ class TestBounds:
         assert code == 1
         assert "n must be" in err
 
+    @pytest.mark.parametrize("args", [
+        ("--metric", "d3", "--n", "10", "--max-weight", "1e200", "--alpha", "2"),
+        ("--metric", "d5", "--n", "100", "--alpha", "1000"),
+        ("--metric", "d1", "--n", "100", "--max-weight", "1e307", "--alpha", "3"),
+    ])
+    def test_overflow_exit_1(self, capsys, args):
+        code, out, err = run(capsys, "bounds", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {args[1]} bounds are not finite in float64 at n=")
+
 
 class TestRank:
     def test_competition(self, capsys):
