@@ -281,6 +281,19 @@ def distinctiveness(
     return _single(metric, graph, alpha, direction, relaxed_alpha)
 
 
+def _quotient_past_overflow(num: float, scale: int, top: float, bottom: float, alpha: float) -> float:
+    """``num / (scale * (top / bottom) ** alpha)`` rounded to float64, for a
+    quotient that is finite although its float power overflows. Decimal
+    arithmetic at 40 digits has the exponent range float lacks; a power past
+    even that becomes Infinity (nothing is trapped), and the quotient 0. Beside
+    a power above 1.8e308, d4's ``1 +`` is below the 40th digit, so it is left out."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+
+    ctx = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+    power = ctx.power(ctx.divide(Decimal(top), Decimal(bottom)), Decimal(alpha))
+    return float(ctx.divide(Decimal(num), ctx.multiply(scale, power)))
+
+
 def bounds(
     metric: str,
     n: int,
@@ -321,10 +334,16 @@ def bounds(
             upper = (n - 1) * M * math.log10(n * (n - 1) * M / 2.0)
         elif metric == "d4":
             upper = (n - 1) * M
-            lower = m / (1.0 + (n - 2) * (M / m) ** alpha)
+            try:
+                lower = m / (1.0 + (n - 2) * (M / m) ** alpha)
+            except OverflowError:  # in (M/m)**alpha; the bound is min_weight at n=2
+                lower = m if n == 2 else _quotient_past_overflow(m, n - 2, M, m, alpha)
         else:  # d5
             upper = float(n - 1)
-            lower = 1.0 / (n - 1) ** alpha
+            try:
+                lower = 1.0 / (n - 1) ** alpha
+            except OverflowError:  # in (n-1)**alpha; the bound is below 1/1.8e308
+                lower = _quotient_past_overflow(1.0, 1, n - 1, 1.0, alpha)
         finite = math.isfinite(lower) and math.isfinite(upper)
     except (OverflowError, ValueError):  # a power overflows, or log10 gets the 0 an overflow left
         finite = False

@@ -52,26 +52,16 @@ def barabasi_albert(params: GeneratorParams) -> Graph:
     topo = np.random.default_rng(topo_ss)
     wrng = np.random.default_rng(weight_ss)
 
-    # node m + k attaches to dst[k*m : (k+1)*m]
-    dst: list[int] = []
-    urn: list[int] = []
-    targets = list(range(m))
-    source = m
-    while True:
-        dst.extend(targets)
-        urn.extend(targets)
-        urn.extend([source] * m)
-        source += 1
-        if source >= n:
-            break
-        chosen: list[int] = []
-        seen: set[int] = set()
+    # node m + k attaches to dst[k*m : (k+1)*m]. The urn is read from dst: it
+    # holds 2m slots per step k, the m targets of step k then m copies of node
+    # m + k, and node `source` draws from its first 2*m*(source - m) slots.
+    dst = list(range(m))
+    for source in range(m + 1, n):
+        chosen: dict[int, None] = {}  # distinct draws in draw order
         while len(chosen) < m:
-            candidate = urn[int(topo.integers(0, len(urn)))]
-            if candidate not in seen:
-                seen.add(candidate)
-                chosen.append(candidate)
-        targets = chosen
+            k, o = divmod(int(topo.integers(0, 2 * m * (source - m))), 2 * m)
+            chosen[dst[k * m + o] if o < m else m + k] = None
+        dst.extend(chosen)
 
     weights = wrng.integers(params.weight_low, params.weight_high + 1, size=len(dst))
     src = np.repeat(np.arange(m, n), m)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .distinctiveness import CentralityVector
 from .errors import ParseError
-from .graph import Graph, _intern, build_graph, first_inverse, graph_from_arrays
+from .graph import Graph, _intern, _require_edges, build_graph, first_inverse, graph_from_arrays
 
 __all__ = [
     "parse_edge_list",
@@ -144,10 +144,12 @@ def write_edge_list(graph: Graph) -> str:
     its ``edges()``; the order of neighbours within a CSR row can differ,
     and with it the last bits of per-row sums such as strengths.
 
-    Raises ValueError naming the first node label the reader could not give
-    back: one holding a tab, LF or CR, starting with "#", or starting or
-    ending with whitespace (which ``str.strip`` removes).
+    Raises ValueError on a graph without edges, whose document the reader
+    would refuse, and on a node label the reader could not give back, naming
+    the first: one holding a tab, LF or CR, starting with "#", or starting
+    or ending with whitespace (which ``str.strip`` removes).
     """
+    _require_edges(graph)
     bad = next(filter(_UNWRITABLE.search, graph.nodes), None)
     if bad is not None:
         raise ValueError(

@@ -29,7 +29,7 @@ from dcmetrics import (
     baseline,
     spearman,
 )
-from dcmetrics.graph import segment_sum
+from dcmetrics.graph import graph_from_arrays, segment_sum
 
 
 def naive_build_graph(edges, directed=False, nodes=()):
@@ -296,6 +296,42 @@ def naive_pairwise_spearman(x, y):
     cov = float(np.sum(dx * dy))
     denom = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
     return max(-1.0, min(1.0, cov / denom))
+
+
+def naive_barabasi_albert(params):
+    """Bitwise reference for ``generators.barabasi_albert``: the urn kept as
+    its own list, two entries per edge, each step's draws checked against a
+    set. The package reads the same slots from its edge list."""
+    n, m = params.n, params.m_attach
+    topo_ss, weight_ss = np.random.SeedSequence(params.seed).spawn(2)
+    topo = np.random.default_rng(topo_ss)
+    wrng = np.random.default_rng(weight_ss)
+
+    # node m + k attaches to dst[k*m : (k+1)*m]
+    dst: list[int] = []
+    urn: list[int] = []
+    targets = list(range(m))
+    source = m
+    while True:
+        dst.extend(targets)
+        urn.extend(targets)
+        urn.extend([source] * m)
+        source += 1
+        if source >= n:
+            break
+        chosen: list[int] = []
+        seen: set[int] = set()
+        while len(chosen) < m:
+            candidate = urn[int(topo.integers(0, len(urn)))]
+            if candidate not in seen:
+                seen.add(candidate)
+                chosen.append(candidate)
+        targets = chosen
+
+    weights = wrng.integers(params.weight_low, params.weight_high + 1, size=len(dst))
+    src = np.repeat(np.arange(m, n), m)
+    labels = tuple(map(str, range(n)))
+    return graph_from_arrays(labels, src, dst, weights, directed=False)
 
 
 def naive_correlation_sweep(params, ensemble_size, alphas, seed=0, dc_metrics=METRICS):

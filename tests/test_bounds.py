@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,8 +72,7 @@ class TestBoundFormulas:
         ("d2", 10, 1.0, 1e308),  # the lower bound was -inf
         ("d3", 10, 1e200, 2),  # M**alpha raised OverflowError
         ("d3", 10, 1e307, 1),  # the upper bound was inf
-        ("d4", 10, 1e200, 2),  # (M/m)**alpha raised OverflowError
-        ("d5", 100, 1.0, 1000),  # (n-1)**alpha raised OverflowError
+        ("d4", 10, 1e308, 2),  # the upper bound was inf
     ])
     def test_overflow_is_a_value_error(self, metric, n, max_weight, alpha):
         message = (f"{metric} bounds are not finite in float64 at n={n}, "
@@ -86,6 +86,51 @@ class TestBoundFormulas:
         assert bounds("d5", n=100, alpha=150).lower == 1.0 / 99**150.0
         assert bounds("d4", n=10, max_weight=1e150, alpha=2).lower == 1.0 / (1.0 + 8 * 1e150**2.0)
         assert bounds("d1", n=100, max_weight=1e300, alpha=3).upper == 1e300 * 99 * math.log10(99)
+
+    def test_overflowing_power_gives_the_rounded_lower_bound(self):
+        assert bounds("d5", n=100, alpha=155).lower == 99.0**-155 == 4.748373115088700e-310
+        assert bounds("d5", n=100, alpha=1000).lower == 0.0
+        assert bounds("d5", n=3, alpha=1e300).lower == 0.0
+        assert bounds("d4", n=100, max_weight=10, alpha=400).lower == 0.0
+        assert bounds("d4", n=3, max_weight=10, alpha=310).lower == 1e-310
+        # a finite quotient of normal size, though its power overflows
+        assert bounds("d4", n=3, min_weight=1e300, max_weight=1e301, alpha=310).lower == 1e-10
+        # (n-2) is 0: the bound is min_weight exactly
+        assert bounds("d4", n=2, max_weight=10, alpha=400).lower == 1.0
+        assert bounds("d4", n=2, min_weight=3, max_weight=30, alpha=1e300).lower == 3.0
+
+    @pytest.mark.parametrize("metric", ["d4", "d5"])
+    def test_lower_bound_grid_against_the_float_formula(self, metric):
+        # where the float formula has a value, the bits are its own; where its
+        # power overflows, the bound is the exact quotient rounded to float64
+        # (integer alpha), or the float power taken with -alpha (d5, any alpha)
+        def formula(n, m, M, alpha):
+            return m / (1.0 + (n - 2) * (M / m) ** alpha) if metric == "d4" else 1.0 / (n - 1) ** alpha
+
+        def exact(n, m, M, alpha):
+            if metric == "d4":
+                return float(Fraction(m) / (1 + (n - 2) * (Fraction(M) / Fraction(m)) ** alpha))
+            return float(1 / Fraction(n - 1) ** alpha)
+
+        kept = rounded = 0
+        for n in (2, 3, 4, 10, 100, 10**6):
+            for m, M in ((1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (1.0, 20.0), (3.0, 7.0), (1e300, 1e301)):
+                for alpha in (1, 1.5, 2, 10, 100, 150, 155, 240, 247.25, 310, 317, 400, 411.5, 1000, 1100):
+                    lower = bounds(metric, n=n, min_weight=m, max_weight=M, alpha=alpha).lower
+                    try:
+                        want = formula(n, m, M, float(alpha))
+                    except OverflowError:
+                        rounded += 1
+                        if float(alpha).is_integer():
+                            assert lower == exact(n, m, M, int(alpha)), (n, m, M, alpha)
+                        elif metric == "d5":
+                            assert math.isclose(lower, (n - 1.0) ** -alpha, rel_tol=1e-12, abs_tol=1e-322)
+                        else:
+                            assert lower == m if n == 2 else 0.0 <= lower < m
+                        continue
+                    kept += 1
+                    assert np.float64(lower).view(np.int64) == np.float64(want).view(np.int64), (n, m, M, alpha)
+        assert kept > 50 and rounded > 50
 
 
 class TestContainment:

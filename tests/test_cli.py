@@ -145,13 +145,18 @@ class TestBounds:
 
     @pytest.mark.parametrize("args", [
         ("--metric", "d3", "--n", "10", "--max-weight", "1e200", "--alpha", "2"),
-        ("--metric", "d5", "--n", "100", "--alpha", "1000"),
+        ("--metric", "d4", "--n", "10", "--max-weight", "1e308", "--alpha", "2"),
         ("--metric", "d1", "--n", "100", "--max-weight", "1e307", "--alpha", "3"),
     ])
     def test_overflow_exit_1(self, capsys, args):
         code, out, err = run(capsys, "bounds", *args)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {args[1]} bounds are not finite in float64 at n=")
+
+    def test_lower_bound_past_an_overflowing_power(self, capsys):
+        # (n-1)**alpha overflows, the bound 1/(n-1)**alpha rounds to 0.0
+        code, out, err = run(capsys, "bounds", "--metric", "d5", "--n", "100", "--alpha", "1000")
+        assert (code, out, err) == (0, "lower=0 upper=99\n", "")
 
 
 class TestRank:

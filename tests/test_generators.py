@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_graph
 from dcmetrics import GeneratorParams, barabasi_albert, profile
+from naive import naive_barabasi_albert
 
 
 class TestParams:
@@ -86,3 +88,22 @@ class TestDeterminism:
         a = barabasi_albert(GeneratorParams(n=30, m_attach=2, weight_low=1, weight_high=1, seed=11))
         b = barabasi_albert(GeneratorParams(n=30, m_attach=2, weight_low=1, weight_high=9, seed=11))
         assert [(u, v) for u, v, _ in a.edges()] == [(u, v) for u, v, _ in b.edges()]
+
+
+class TestMatchesUrnLoop:
+    """The generator reads its urn from the edge list; the graphs stay bit for
+    bit those of the urn-list loop in tests/naive.py."""
+
+    @pytest.mark.parametrize("m, sizes", [
+        (1, (2, 3, 50, 300)),
+        (2, (3, 4, 50, 300)),
+        (3, (4, 5, 50, 300)),
+        (7, (8, 9, 50, 300)),
+        (4, (5,)),
+    ])
+    @pytest.mark.parametrize("weight_high", [1, 20])
+    def test_bitwise(self, m, sizes, weight_high):
+        for n in sizes:
+            for seed in range(10):
+                params = GeneratorParams(n=n, m_attach=m, weight_low=1, weight_high=weight_high, seed=seed)
+                assert_same_graph(barabasi_albert(params), naive_barabasi_albert(params))

@@ -123,6 +123,13 @@ class TestEdgeList:
         g = build_graph([("A#", "C#D", 1.0)])
         assert parse_edge_list(write_edge_list(g)).nodes == ("A#", "C#D")
 
+    def test_writer_rejects_a_graph_without_edges(self):
+        # only self-loops were read: the reader refuses a document without edges
+        g = parse_edge_list("A\tA\t2\n")
+        assert (g.nodes, g.edge_count) == (("A",), 0)
+        with pytest.raises(ValueError, match="graph has no edges left after self-loops were dropped"):
+            write_edge_list(g)
+
 
 class TestWriterMatchesLoop:
     """``write_edge_list`` against the per-edge loop it replaced, byte for
