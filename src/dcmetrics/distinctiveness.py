@@ -198,11 +198,13 @@ def all_distinctiveness(
     if "d1" in metrics or "d2" in metrics:
         # penalty log10((n-1)/g^alpha), kept as a single log of the ratio:
         # neighbors of full degree give exactly 0 at alpha=1, and exact
-        # score ties (equal degree products) stay bitwise ties
-        per_edge = deg_f[indices]
-        np.power(per_edge, alpha, out=per_edge)
+        # score ties (equal degree products) stay bitwise ties; where g^alpha
+        # overflows, the difference of logs
+        per_edge, over = _degree_powers(deg_f, indices, alpha)
+        per_edge[over] = n - 1  # a log of 1 until its entry is set below
         np.divide(n - 1, per_edge, out=per_edge)
         np.log10(per_edge, out=per_edge)
+        per_edge[over] = math.log10(n - 1) - alpha * np.log10(deg_f[indices[over]])
         if "d1" in metrics:
             out["d1"] = vector("d1", row_sums(weights * per_edge))
         if "d2" in metrics:
@@ -229,12 +231,21 @@ def all_distinctiveness(
             del per_edge
 
     if "d5" in metrics:
-        per_edge = deg_f[indices]
-        np.power(per_edge, alpha, out=per_edge)
+        per_edge, over = _degree_powers(deg_f, indices, alpha)
         np.divide(1.0, per_edge, out=per_edge)
+        per_edge[over] = deg_f[indices[over]] ** -alpha  # 0.0 or a subnormal
         out["d5"] = vector("d5", row_sums(per_edge))
 
     return {m: out[m] for m in metrics}
+
+
+def _degree_powers(deg_f: np.ndarray, indices: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``g ** alpha`` for the neighbor degree g of every entry, and the
+    entries where it overflows to inf."""
+    per_edge = deg_f[indices]
+    with np.errstate(over="ignore"):
+        np.power(per_edge, alpha, out=per_edge)
+    return per_edge, np.flatnonzero(np.isinf(per_edge))
 
 
 def _single(metric: str, graph: Graph, alpha, direction, relaxed_alpha) -> CentralityVector:
@@ -283,10 +294,11 @@ def distinctiveness(
 
 def _quotient_past_overflow(num: float, scale: int, top: float, bottom: float, alpha: float) -> float:
     """``num / (scale * (top / bottom) ** alpha)`` rounded to float64, for a
-    quotient that is finite although its float power overflows. Decimal
-    arithmetic at 40 digits has the exponent range float lacks; a power past
-    even that becomes Infinity (nothing is trapped), and the quotient 0. Beside
-    a power above 1.8e308, d4's ``1 +`` is below the 40th digit, so it is left out."""
+    quotient that is finite although its float power, or ``scale`` times it,
+    overflows. Decimal arithmetic at 40 digits has the exponent range float
+    lacks; a power past even that becomes Infinity (nothing is trapped), and
+    the quotient 0. Beside a denominator above 1.8e308, d4's ``1 +`` is below
+    the 40th digit, so it is left out."""
     from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
     ctx = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
@@ -335,9 +347,13 @@ def bounds(
         elif metric == "d4":
             upper = (n - 1) * M
             try:
-                lower = m / (1.0 + (n - 2) * (M / m) ** alpha)
-            except OverflowError:  # in (M/m)**alpha; the bound is min_weight at n=2
-                lower = m if n == 2 else _quotient_past_overflow(m, n - 2, M, m, alpha)
+                denominator = 1.0 + (n - 2) * (M / m) ** alpha
+            except OverflowError:  # in (M/m)**alpha; it is multiplied by 0 at n=2
+                denominator = 1.0 if n == 2 else math.inf
+            if math.isfinite(denominator):
+                lower = m / denominator
+            else:  # the power or (n-2) times it overflows: the bound is below m / 1.8e308
+                lower = _quotient_past_overflow(m, n - 2, M, m, alpha)
         else:  # d5
             upper = float(n - 1)
             try:

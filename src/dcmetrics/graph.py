@@ -11,8 +11,9 @@ Every graph is built by one array pass, ``csr_from_arrays``: integer
 endpoint and weight arrays in, CSR out, with no per-edge Python.
 ``graph_from_arrays`` wraps it with the checks for an empty edge list and
 on merged weights, and every builder ends there: ``build_graph`` after
-checking and interning labels, the edge-list readers after interning the
-labels they have checked, and the generator with its integer arrays.
+one pass that checks each edge in input order and collects its endpoints
+and weight, then interns the labels; the edge-list readers after interning
+the labels they have checked; and the generator with its integer arrays.
 The build guarantees:
 
 - node order is first appearance (pre-declared nodes, then endpoints,
@@ -29,7 +30,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
-from typing import NoReturn
 
 import numpy as np
 
@@ -171,36 +171,48 @@ class DegreeProfile:
 def build_graph(
     edges: Iterable[Edge],
     directed: bool = False,
-    nodes: Sequence[str] = (),
+    nodes: Iterable[str] = (),
 ) -> Graph:
     """Build a graph from (source, target, weight) triples.
 
-    Checks and interns the labels, then builds the adjacency with
-    ``csr_from_arrays``. Node order is first appearance: pre-declared
-    ``nodes``, then endpoints, source before target; each row lists its
-    neighbors in the order their edge first appears. Parallel edges merge
-    by summing their weights in input order, bit for bit; self-loops are
-    dropped. A node no edge (other than a self-loop) touches stays as an
-    explicit isolate.
+    One pass over ``edges``, in input order, checks each edge and collects
+    its endpoints and weight into lists; the labels are then interned and
+    the adjacency built with ``csr_from_arrays``. Node order is first
+    appearance: pre-declared ``nodes``, then endpoints, source before
+    target; each row lists its neighbors in the order their edge first
+    appears. Parallel edges merge by summing their weights in input order,
+    bit for bit; self-loops are dropped. A node no edge (other than a
+    self-loop) touches stays as an explicit isolate. Each input is iterated
+    once, so both may be one-shot iterators.
 
-    Raises GraphBuildError, for the earliest offending edge, on an empty
-    label or a weight that is not strictly positive and finite; also on an
-    empty edge list and on parallel edges whose sum is not finite.
+    Raises GraphBuildError, for the first offending declared node or edge,
+    on an empty label, an edge that is not a triple or a weight that is not
+    strictly positive and finite; also on an empty edge list and on
+    parallel edges whose sum is not finite.
     """
-    edges = list(edges)
-    try:
-        sources, targets, weights = zip(*edges, strict=True) if edges else ((), (), ())
-        w = np.fromiter(map(float, weights), dtype=np.float64, count=len(weights))
-    except (TypeError, ValueError, OverflowError):
-        _raise_first_error(nodes, edges)
     nodes = tuple(nodes)
-    try:
-        labels, src, dst = _intern(nodes, sources, targets)
-        labels_ok = all(isinstance(label, str) and label for label in labels)
-    except TypeError:  # an unhashable label
-        labels_ok = False
-    if not labels_ok or not np.all((w > 0.0) & (w < np.inf)):
-        _raise_first_error(nodes, zip(sources, targets, w))
+    for label in nodes:
+        _check_label(label)
+    sources: list[str] = []
+    targets: list[str] = []
+    weights: list[float] = []
+    for edge in edges:
+        try:
+            src, dst, w = edge
+        except (TypeError, ValueError):
+            raise GraphBuildError(f"edges must be (source, target, weight) triples, got {edge!r}")
+        w = float(w)
+        if not 0.0 < w < np.inf:
+            kind = "non-positive" if np.isfinite(w) else "non-finite"
+            raise GraphBuildError(f"edge {src!r} -> {dst!r} has {kind} weight {w!r}")
+        _check_label(src)
+        _check_label(dst)
+        sources.append(src)
+        targets.append(dst)
+        weights.append(w)
+    w = np.array(weights, dtype=np.float64)
+    del weights  # frees the float objects before the build's peak
+    labels, src, dst = _intern(nodes, sources, targets)
     return graph_from_arrays(labels, src, dst, w, directed)
 
 
@@ -245,25 +257,6 @@ def _intern(
 def _check_label(label: object) -> None:
     if not isinstance(label, str) or not label:
         raise GraphBuildError(f"node labels must be non-empty strings, got {label!r}")
-
-
-def _raise_first_error(nodes: Iterable[object], edges: Iterable[object]) -> NoReturn:
-    """Re-run the input checks one edge at a time, in input order, and raise
-    for the first offence; the array checks only tell that there is one."""
-    for label in nodes:
-        _check_label(label)
-    for edge in edges:
-        try:
-            src, dst, w = edge
-        except (TypeError, ValueError):
-            raise GraphBuildError(f"edges must be (source, target, weight) triples, got {edge!r}")
-        w = float(w)
-        if not 0.0 < w < np.inf:
-            kind = "non-positive" if np.isfinite(w) else "non-finite"
-            raise GraphBuildError(f"edge {src!r} -> {dst!r} has {kind} weight {w!r}")
-        _check_label(src)
-        _check_label(dst)
-    raise AssertionError("array checks flagged an edge list that passes edge by edge")
 
 
 def csr_from_arrays(src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, directed: bool) -> tuple:

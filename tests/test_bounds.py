@@ -99,6 +99,21 @@ class TestBoundFormulas:
         assert bounds("d4", n=2, max_weight=10, alpha=400).lower == 1.0
         assert bounds("d4", n=2, min_weight=3, max_weight=30, alpha=1e300).lower == 3.0
 
+    @pytest.mark.parametrize("n, min_weight, max_weight, alpha", [
+        (100, 1.0, 10.0, 307),
+        (1000, 1.0, 10.0, 306),
+        (10**6, 1.0, 2.0, 1020),
+        (100, 1e300, 1e301, 307),  # a quotient of normal size
+    ])
+    def test_overflowing_denominator_gives_the_rounded_lower_bound(self, n, min_weight, max_weight, alpha):
+        # (M/m)**alpha is finite but (n-2) times it is not: the float formula
+        # gives 0.0, the bound is the exact quotient rounded to float64
+        m, M = min_weight, max_weight
+        assert m / (1.0 + (n - 2) * (M / m) ** float(alpha)) == 0.0
+        exact = Fraction(m) / (1 + (n - 2) * (Fraction(M) / Fraction(m)) ** alpha)
+        lower = bounds("d4", n=n, min_weight=m, max_weight=M, alpha=alpha).lower
+        assert lower == float(exact) > 0.0
+
     @pytest.mark.parametrize("metric", ["d4", "d5"])
     def test_lower_bound_grid_against_the_float_formula(self, metric):
         # where the float formula has a value, the bits are its own; where its

@@ -37,6 +37,13 @@ class TestCompute:
         csv_b = float(next(l for l in csv_out.splitlines() if l.startswith("B,")).split(",")[1])
         assert csv_b == pytest.approx(payload["columns"][0]["values"][b_index], rel=1e-5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_degree_power_overflow(self, capsys):
+        # 6**400 overflows: Medici's neighbors fall back to the log form
+        code, out, err = run(capsys, "compute", "--dataset", "florentine", "--metrics", "d1,d2,d5", "--alpha", "400")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "Acciaiuoli,-310.114,-310.114,5.48908e-312"
+
     def test_directed_defaults_to_both_directions(self, capsys):
         code, out, _ = run(capsys, "compute", "--dataset", "toy-directed", "--metrics", "d1")
         assert code == 0
@@ -157,6 +164,11 @@ class TestBounds:
         # (n-1)**alpha overflows, the bound 1/(n-1)**alpha rounds to 0.0
         code, out, err = run(capsys, "bounds", "--metric", "d5", "--n", "100", "--alpha", "1000")
         assert (code, out, err) == (0, "lower=0 upper=99\n", "")
+
+    def test_lower_bound_past_an_overflowing_denominator(self, capsys):
+        # 10**307 is finite, 98 times it is not: the bound is a subnormal
+        code, out, err = run(capsys, "bounds", "--metric", "d4", "--n", "100", "--max-weight", "10", "--alpha", "307")
+        assert (code, out, err) == (0, "lower=1.02041e-309 upper=990\n", "")
 
 
 class TestRank:

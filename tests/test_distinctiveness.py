@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dcmetrics import (
     distinctiveness,
     negative_contribution_threshold,
 )
+from dcmetrics.datasets import builtin_dataset
 from dcmetrics.graph import graph_from_arrays
 from conftest import random_graph
 from naive import naive_distinctiveness
@@ -236,6 +238,57 @@ class TestOracleEquivalence:
                     for lab in g.nodes:
                         got = vals[metric][lab]
                         assert got == pytest.approx(ref[lab], rel=1e-12, abs=1e-12)
+
+
+def decimal_degree_scores(graph, metric, alpha):
+    """d1, d2 or d5 of every node of an undirected graph in decimal
+    arithmetic at 40 digits: each penalty is log10(n-1) - alpha log10(g)
+    and each d5 term g**-alpha, with no ratio form and no float power."""
+    ctx = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    a = Decimal(alpha)
+    log_n1 = ctx.log10(Decimal(graph.n - 1))
+    degree = graph.out_degrees().tolist()
+    scores = {}
+    for i, label in enumerate(graph.nodes):
+        total = Decimal(0)
+        for k in range(graph.indptr[i], graph.indptr[i + 1]):
+            g = Decimal(degree[graph.indices[k]])
+            if metric == "d5":
+                term = ctx.power(g, -a)
+            else:
+                term = ctx.subtract(log_n1, ctx.multiply(a, ctx.log10(g)))
+                if metric == "d1":
+                    term = ctx.multiply(Decimal(float(graph.weights[k])), term)
+            total = ctx.add(total, term)
+        scores[label] = float(total)
+    return scores
+
+
+@pytest.mark.filterwarnings("error")
+class TestDegreePowerOverflow:
+    """d1, d2 and d5 where the neighbor degree power g**alpha overflows:
+    the log form (d1, d2) and the negative power (d5) take over for those
+    entries, without a RuntimeWarning."""
+
+    @pytest.mark.parametrize("alpha", [100, 110, 400])
+    def test_star_leaf_and_hub(self, alpha):
+        scores = all_distinctiveness(star(1001), alpha=alpha, metrics=("d1", "d2"))
+        for metric in ("d1", "d2"):
+            assert scores[metric]["leaf0"] == pytest.approx(3.0 - 3.0 * alpha, rel=1e-12)
+            assert scores[metric]["hub"] == 3000.0
+
+    @pytest.mark.parametrize("name", ["florentine", "zachary", "star"])
+    @pytest.mark.parametrize("alpha", [1, 2.5, 100, 110, 240, 400, 1000])
+    def test_against_decimal_logs(self, name, alpha):
+        g = star(1001) if name == "star" else builtin_dataset(name)
+        scores = all_distinctiveness(g, alpha=alpha, metrics=("d1", "d2", "d5"))
+        for metric, vector in scores.items():
+            want = decimal_degree_scores(g, metric, alpha)
+            for label in g.nodes:
+                got = vector[label]
+                assert math.isclose(got, want[label], rel_tol=1e-12, abs_tol=1e-12 if alpha < 100 else 1e-320), (
+                    metric, label, got, want[label]
+                )
 
 
 class TestKernelMemory:

@@ -203,6 +203,18 @@ def _outcome(build, *args, **kwargs):
     raise AssertionError("build did not fail")
 
 
+class _Once:
+    """An iterable without a length that refuses a second pass."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __iter__(self):
+        items, self.items = self.items, None
+        assert items is not None, "iterated twice"
+        return iter(items)
+
+
 # weights of one pair repeated in every random edge list: non-dyadic, so
 # their float sum depends on the order they are added in
 REPEATED = [0.1, 0.7, 0.2, 0.3, 0.1, 0.7, 0.6, 0.1, 0.9, 0.7, 0.3, 0.1]
@@ -333,8 +345,19 @@ class TestBuildErrors:
         ],
     )
     def test_same_error_as_reference(self, edges, nodes):
+        # as lists, then as one-shot generators: each builder gets fresh
+        # iterables, so neither sees what the other consumed
         edges = list(edges)
-        assert _outcome(build_graph, edges, nodes=nodes) == _outcome(naive_build_graph, edges, nodes=nodes)
+        for fresh in (list, lambda items: (item for item in items)):
+            got = _outcome(build_graph, fresh(edges), nodes=fresh(nodes))
+            assert got == _outcome(naive_build_graph, fresh(edges), nodes=fresh(nodes))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_one_shot_iterables_build_the_list_graph(self, directed):
+        edges, declared = _random_edge_list(np.random.default_rng(11), directed)
+        g = build_graph(_Once(edges), directed=directed, nodes=_Once(declared))
+        assert_same_graph(g, build_graph(edges, directed=directed, nodes=declared))
+        assert_same_graph(g, naive_build_graph(edges, directed=directed, nodes=declared))
 
     def test_earliest_offending_edge_is_reported(self):
         with pytest.raises(GraphBuildError, match=r"^edge 'C' -> 'D' has non-positive weight -1.0$"):
