@@ -39,7 +39,8 @@ class TestCompute:
 
     @pytest.mark.filterwarnings("error")
     def test_degree_power_overflow(self, capsys):
-        # 6**400 overflows: Medici's neighbors fall back to the log form
+        # Medici's degree 6 to the power 400 overflows: Acciaiuoli's one
+        # entry takes the log form (d1, d2) and 6**-400 (d5)
         code, out, err = run(capsys, "compute", "--dataset", "florentine", "--metrics", "d1,d2,d5", "--alpha", "400")
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "Acciaiuoli,-310.114,-310.114,5.48908e-312"
