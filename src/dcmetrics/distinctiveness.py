@@ -173,7 +173,6 @@ def all_distinctiveness(
         raise ValueError("distinctiveness needs at least 2 nodes")
     isolates = graph.isolates()
 
-    deg_f = nbr_degree.astype(np.float64)
     out: dict[str, CentralityVector] = {}
 
     def vector(metric: str, values: np.ndarray) -> CentralityVector:
@@ -191,20 +190,25 @@ def all_distinctiveness(
     def row_sums(values: np.ndarray) -> np.ndarray:
         return segment_sum(values, indptr, rows)
 
-    # neighbor arrays are indexed per edge entry before any log/pow so that
-    # isolates (degree 0, never referenced) cannot inject inf/nan; each
-    # per-entry array is then worked on in place, in the order of the
-    # formula's operations, and dropped before the next one is made
+    # the d1/d2 penalty and the d5 term depend on the neighbor alone: each is
+    # made once per node and gathered once per entry. A node of degree 0
+    # takes degree 1, since no entry points at it. Per-entry arrays are worked
+    # on in place and dropped before the next one is made
+    if not {"d1", "d2", "d5"}.isdisjoint(metrics):
+        deg_f = np.maximum(nbr_degree, 1).astype(np.float64)
+        with np.errstate(over="ignore"):
+            power = np.power(deg_f, alpha)
+        over = np.isinf(power)
+
     if "d1" in metrics or "d2" in metrics:
         # penalty log10((n-1)/g^alpha), kept as a single log of the ratio:
         # neighbors of full degree give exactly 0 at alpha=1, and exact
         # score ties (equal degree products) stay bitwise ties; where g^alpha
         # overflows, the difference of logs
-        per_edge, over = _degree_powers(deg_f, indices, alpha)
-        per_edge[over] = n - 1  # a log of 1 until its entry is set below
-        np.divide(n - 1, per_edge, out=per_edge)
-        np.log10(per_edge, out=per_edge)
-        per_edge[over] = math.log10(n - 1) - alpha * np.log10(deg_f[indices[over]])
+        with np.errstate(divide="ignore"):  # log10(0) past an overflow, replaced below
+            penalty = np.log10((n - 1) / power)
+        penalty[over] = math.log10(n - 1) - alpha * np.log10(deg_f[over])
+        per_edge = penalty[indices]
         if "d1" in metrics:
             out["d1"] = vector("d1", row_sums(weights * per_edge))
         if "d2" in metrics:
@@ -231,21 +235,11 @@ def all_distinctiveness(
             del per_edge
 
     if "d5" in metrics:
-        per_edge, over = _degree_powers(deg_f, indices, alpha)
-        np.divide(1.0, per_edge, out=per_edge)
-        per_edge[over] = deg_f[indices[over]] ** -alpha  # 0.0 or a subnormal
-        out["d5"] = vector("d5", row_sums(per_edge))
+        reciprocal = 1.0 / power
+        reciprocal[over] = deg_f[over] ** -alpha  # 0.0 or a subnormal
+        out["d5"] = vector("d5", row_sums(reciprocal[indices]))
 
     return {m: out[m] for m in metrics}
-
-
-def _degree_powers(deg_f: np.ndarray, indices: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``g ** alpha`` for the neighbor degree g of every entry, and the
-    entries where it overflows to inf."""
-    per_edge = deg_f[indices]
-    with np.errstate(over="ignore"):
-        np.power(per_edge, alpha, out=per_edge)
-    return per_edge, np.flatnonzero(np.isinf(per_edge))
 
 
 def _single(metric: str, graph: Graph, alpha, direction, relaxed_alpha) -> CentralityVector:

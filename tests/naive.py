@@ -20,15 +20,18 @@ import numpy as np
 from dcmetrics import (
     METRICS,
     BuildReport,
+    CentralityVector,
     ConvergenceError,
     DisconnectedGraphError,
     Graph,
     GraphBuildError,
+    MetricSpec,
     all_distinctiveness,
     barabasi_albert,
     baseline,
     spearman,
 )
+from dcmetrics.distinctiveness import _adjacency_view, _resolve_direction
 from dcmetrics.graph import graph_from_arrays, segment_sum
 
 
@@ -174,6 +177,50 @@ def naive_distinctiveness(nodes, edges, directed, metric, alpha, direction="undi
                 raise ValueError(metric)
         scores[i] = acc
     return scores
+
+
+def naive_degree_distinctiveness(graph, alpha, direction=None, relaxed_alpha=False, metrics=("d1", "d2", "d5")):
+    """Bitwise reference for d1, d2 and d5 in ``all_distinctiveness``, errors
+    included: the neighbor degree power taken per stored entry, once for
+    d1/d2 and again for d5, with the difference of logs (d1, d2) and the
+    negative power (d5) patched into the entries where it overflows."""
+    direction = _resolve_direction(graph, direction)
+    for m in metrics:
+        MetricSpec(m, alpha, direction, relaxed_alpha)
+    alpha = float(alpha)
+    indptr, indices, weights, nbr_degree, _, _ = _adjacency_view(graph, direction)
+    n = graph.n
+    if n < 2:
+        raise ValueError("distinctiveness needs at least 2 nodes")
+    deg_f = nbr_degree.astype(np.float64)
+
+    def degree_powers():
+        per_edge = deg_f[indices]
+        with np.errstate(over="ignore"):
+            np.power(per_edge, alpha, out=per_edge)
+        return per_edge, np.flatnonzero(np.isinf(per_edge))
+
+    def vector(metric, values):
+        return CentralityVector(metric, alpha, direction, graph.nodes, segment_sum(values, indptr),
+                                graph.isolates())
+
+    out = {}
+    if "d1" in metrics or "d2" in metrics:
+        per_edge, over = degree_powers()
+        per_edge[over] = n - 1
+        np.divide(n - 1, per_edge, out=per_edge)
+        np.log10(per_edge, out=per_edge)
+        per_edge[over] = math.log10(n - 1) - alpha * np.log10(deg_f[indices[over]])
+        if "d1" in metrics:
+            out["d1"] = vector("d1", weights * per_edge)
+        if "d2" in metrics:
+            out["d2"] = vector("d2", per_edge)
+    if "d5" in metrics:
+        per_edge, over = degree_powers()
+        np.divide(1.0, per_edge, out=per_edge)
+        per_edge[over] = deg_f[indices[over]] ** -alpha
+        out["d5"] = vector("d5", per_edge)
+    return {m: out[m] for m in metrics}
 
 
 def naive_betweenness(nodes, edges, weighted=False):

@@ -7,8 +7,10 @@ import pytest
 
 from dcmetrics import (
     METRICS,
+    GeneratorParams,
     MetricSpec,
     all_distinctiveness,
+    barabasi_albert,
     build_graph,
     d1,
     d2,
@@ -21,7 +23,7 @@ from dcmetrics import (
 from dcmetrics.datasets import builtin_dataset
 from dcmetrics.graph import graph_from_arrays
 from conftest import random_graph
-from naive import naive_distinctiveness
+from naive import naive_degree_distinctiveness, naive_distinctiveness
 from reference_values import DIRECTED_TOY_SCORES, PRINT_TOL, TOY_SCORES
 
 
@@ -289,6 +291,49 @@ class TestDegreePowerOverflow:
                 assert math.isclose(got, want[label], rel_tol=1e-12, abs_tol=1e-12 if alpha < 100 else 1e-320), (
                     metric, label, got, want[label]
                 )
+
+
+def degree_term_corpus():
+    """(name, graph, direction) for every scored side of the graphs the
+    per-node degree terms are checked on: the datasets, random simple
+    graphs (directed ones have nodes of in- or out-degree 0), a 1000-leaf
+    star, declared isolates, BA graphs and a star whose d1 overflows."""
+    rng = np.random.default_rng(14)
+    graphs = [(name, builtin_dataset(name)) for name in ("toy-undirected", "toy-directed", "florentine", "zachary")]
+    graphs += [(f"random{i}", random_graph(rng, int(rng.integers(3, 30)), directed=i >= 30)) for i in range(60)]
+    graphs.append(("star", star(1001)))
+    graphs.append(("isolate", build_graph([("A", "B", 2), ("B", "C", 1), ("C", "A", 3)], nodes=["Z"])))
+    graphs.append(("isolate-directed", build_graph([("A", "B", 2), ("B", "C", 1)], directed=True, nodes=["Z"])))
+    graphs += [(f"ba{seed}", barabasi_albert(GeneratorParams(n=300, m_attach=2, weight_high=20, seed=seed)))
+               for seed in range(5)]
+    graphs.append(("heavy-star", star(20, weight=1e308)))
+    for name, g in graphs:
+        for direction in ("in", "out") if g.directed else (None,):
+            yield name, g, direction
+
+
+def scored_or_raised(kernel, *args, **kwargs):
+    try:
+        vectors = kernel(*args, **kwargs)
+    except (ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return {m: (v.values.tobytes(), v.isolates) for m, v in vectors.items()}
+
+
+@pytest.mark.filterwarnings("error")
+class TestPerNodeDegreeTerms:
+    """d1, d2 and d5 take each neighbor's degree power once per node; their
+    vectors and errors are those of the per-entry powers they replaced
+    (tests/naive.py), bit for bit."""
+
+    @pytest.mark.parametrize("alpha,relaxed", [(1, False), (1.5, False), (2, False), (5, False), (30, False),
+                                               (110, False), (400, False), (0.5, True), (0.5, False)])
+    @pytest.mark.parametrize("metrics", [("d1", "d2", "d5"), ("d5", "d2"), ("d1",)])
+    def test_bitwise_against_per_entry_powers(self, alpha, relaxed, metrics):
+        for name, g, direction in degree_term_corpus():
+            got = scored_or_raised(all_distinctiveness, g, alpha, direction, relaxed, metrics)
+            want = scored_or_raised(naive_degree_distinctiveness, g, alpha, direction, relaxed, metrics)
+            assert got == want, (name, direction)
 
 
 class TestKernelMemory:
