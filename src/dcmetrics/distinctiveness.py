@@ -216,7 +216,9 @@ def all_distinctiveness(
         del per_edge
 
     if "d3" in metrics or "d4" in metrics:
-        s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, rows if s_indptr is indptr else None)
+        s_rows = rows if s_indptr is indptr else None
+        with np.errstate(over="ignore"):  # an inf strength fails d3 below and is rescaled for d4
+            s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, s_rows)
         if "d3" in metrics:
             # total weight: undirected edges are counted once, arcs all summed
             total = graph.total_weight()
@@ -229,8 +231,13 @@ def all_distinctiveness(
             out["d3"] = vector("d3", row_sums(per_edge))
             del per_edge
         if "d4" in metrics:
-            per_edge = np.power(weights, alpha + 1.0)
-            per_edge /= s_alpha[indices]
+            with np.errstate(over="ignore", invalid="ignore"):
+                per_edge = np.power(weights, alpha + 1.0)
+                per_edge /= s_alpha[indices]
+            # the ratio is inf or nan past an overflowing power, and 0 past an inf strength
+            past = np.flatnonzero(~np.isfinite(per_edge) | np.isinf(s_alpha)[indices])
+            if past.size:
+                per_edge[past] = _d4_rescaled(weights[past], indices[past], s_indptr, s_rows, s_weights, alpha)
             out["d4"] = vector("d4", row_sums(per_edge))
             del per_edge
 
@@ -240,6 +247,25 @@ def all_distinctiveness(
         out["d5"] = vector("d5", row_sums(reciprocal[indices]))
 
     return {m: out[m] for m in metrics}
+
+
+def _d4_rescaled(w, nbr, s_indptr, s_rows, s_weights, alpha: float) -> np.ndarray:
+    """d4's terms ``w**(alpha+1) / sum_k w_jk**alpha`` where the float powers
+    overflow, as ``w (w/M_j)**alpha / sum_k (w_jk/M_j)**alpha`` with M_j the
+    largest weight in the row of the neighbor j: the sum lies in [1, degree]
+    and the term is at most w. Where ``(w/M_j)**alpha`` falls below the
+    normal range, the term is taken through base-2 logs instead."""
+    s_rows = _entry_rows(s_indptr) if s_rows is None else s_rows
+    top = np.zeros(s_indptr.size - 1)
+    np.maximum.at(top, s_rows, s_weights)
+    with np.errstate(under="ignore", divide="ignore"):  # log2 of a ratio that underflowed to 0
+        scaled = segment_sum(np.power(s_weights / top[s_rows], alpha), s_indptr, s_rows)[nbr]
+        ratio = w / top[nbr]
+        power = np.power(ratio, alpha)
+        terms = w * power / scaled
+        low = power < np.finfo(np.float64).tiny
+        terms[low] = np.exp2(np.log2(w[low]) + alpha * np.log2(ratio[low]) - np.log2(scaled[low]))
+    return terms
 
 
 def _single(metric: str, graph: Graph, alpha, direction, relaxed_alpha) -> CentralityVector:

@@ -45,6 +45,16 @@ class TestCompute:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "Acciaiuoli,-310.114,-310.114,5.48908e-312"
 
+    @pytest.mark.filterwarnings("error")
+    def test_weight_power_overflow(self, capsys, tmp_path):
+        # 1e200**(alpha+1) overflows: A's and B's terms to each other are rescaled
+        heavy = tmp_path / "heavy.tsv"
+        heavy.write_text("A\tB\t1e200\nB\tC\t1\nC\tD\t2\n")
+        code, out, err = run(capsys, "compute", "--input", str(heavy), "--metrics", "d4", "--alpha", "1,2,3")
+        assert (code, err) == (0, "")
+        assert out == ("node,d4@1,d4@2,d4@3\nA,1e+200,1e+200,1e+200\nB,1e+200,1e+200,1e+200\n"
+                       "C,2,2,2\nD,1.33333,1.6,1.77778\n")
+
     def test_directed_defaults_to_both_directions(self, capsys):
         code, out, _ = run(capsys, "compute", "--dataset", "toy-directed", "--metrics", "d1")
         assert code == 0

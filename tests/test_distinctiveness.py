@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,6 +292,67 @@ class TestDegreePowerOverflow:
                 assert math.isclose(got, want[label], rel_tol=1e-12, abs_tol=1e-12 if alpha < 100 else 1e-320), (
                     metric, label, got, want[label]
                 )
+
+
+def fraction_d4(graph, alpha, direction=None):
+    """d4 of every node in exact rational arithmetic at an integer alpha:
+    each term is w**(alpha+1) over the neighbor's alpha-strength, and each
+    node's sum is rounded to float once."""
+    out = {u: [] for u in graph.nodes}
+    inn = {u: [] for u in graph.nodes}
+    for u, v, w in graph.edges():
+        out[u].append((v, Fraction(w)))
+        inn[v].append((u, Fraction(w)))
+        if not graph.directed:
+            out[v].append((u, Fraction(w)))
+            inn[u].append((v, Fraction(w)))
+    # an in-score's neighbors are senders, penalised by their out-rows
+    incident, strength_rows = (inn, out) if direction == "in" else (out, inn)
+    strength = {j: sum(w**alpha for _, w in row) for j, row in strength_rows.items()}
+    return {i: float(sum(w ** (alpha + 1) / strength[j] for j, w in row)) for i, row in incident.items()}
+
+
+def heavy_weight_graphs():
+    rng = np.random.default_rng(7)
+    graphs = [
+        build_graph([("A", "B", 1e200), ("B", "C", 1.0), ("C", "D", 2.0)]),
+        # (1e250/1e300)**7 is below the normal range, 1e250 times it is not
+        build_graph([("a", "b", 1e250), ("b", "c", 1e300), ("b", "d", 1e-3), ("c", "d", 1e150), ("d", "e", 1.0)]),
+        # every strength but z's overflows at alpha=1, and z's d4 is 1e20/2e308
+        build_graph([("h", "x", 1e308), ("h", "y", 1e308), ("x", "y", 1e308), ("h", "z", 1e10)]),
+    ]
+    for directed in (False, True):
+        g = random_graph(rng, 12, directed=directed, density=0.3)
+        graphs.append(build_graph([(u, v, float(10 ** rng.uniform(-3, 300))) for u, v, _ in g.edges()],
+                                  directed=directed))
+    return graphs
+
+
+@pytest.mark.filterwarnings("error")
+class TestWeightPowerOverflow:
+    """d4 where w**(alpha+1) or the neighbor's alpha-strength overflows: those
+    terms are rescaled by the largest weight of the neighbor's row, without
+    a RuntimeWarning."""
+
+    def test_heavy_path(self):
+        scores = all_distinctiveness(heavy_weight_graphs()[0], alpha=1, metrics=("d4",))["d4"]
+        assert scores.values.tolist() == [1e200, 1e200, 2.0, 4 / 3]
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 7])
+    def test_against_fractions(self, alpha):
+        for g in heavy_weight_graphs():
+            for direction in ("in", "out") if g.directed else (None,):
+                want = fraction_d4(g, alpha, direction)
+                got = all_distinctiveness(g, alpha, direction, metrics=("d4",))["d4"]
+                for label in g.nodes:
+                    assert math.isclose(got[label], want[label], rel_tol=1e-12, abs_tol=1e-320), (
+                        label, direction, got[label], want[label]
+                    )
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_d3_still_fails(self, alpha):
+        with pytest.raises((ValueError, RuntimeWarning)):
+            all_distinctiveness(heavy_weight_graphs()[0], alpha=alpha, metrics=("d3",))
 
 
 def degree_term_corpus():
