@@ -112,6 +112,9 @@ def _parse_alphas(spec: str) -> list[float]:
         raise DCMetricsError(f"bad alpha list {spec!r}") from None
     if not values:
         raise DCMetricsError("alpha list is empty")
+    repeated = [a for i, a in enumerate(values) if a in values[:i]]
+    if repeated:  # compute would write two columns under one name, sweep average them together
+        raise DCMetricsError(f"alpha {repeated[0]!r} is given more than once")
     return values
 
 

@@ -55,6 +55,17 @@ class TestCompute:
         assert out == ("node,d4@1,d4@2,d4@3\nA,1e+200,1e+200,1e+200\nB,1e+200,1e+200,1e+200\n"
                        "C,2,2,2\nD,1.33333,1.6,1.77778\n")
 
+    @pytest.mark.parametrize("alphas", ["1,1", "2,2.0", "1,2,1"])
+    def test_refuses_repeated_alpha(self, capsys, alphas):
+        code, out, err = run(capsys, "compute", "--dataset", "toy-undirected", "--metrics", "d1", "--alpha", alphas)
+        assert (code, out) == (1, "")
+        assert err == f"error: alpha {float(alphas.split(',')[0])!r} is given more than once\n"
+
+    def test_distinct_alphas_keep_their_columns(self, capsys):
+        code, out, _ = run(capsys, "compute", "--dataset", "toy-undirected", "--metrics", "d1,d5", "--alpha", "1,2")
+        assert code == 0
+        assert out.splitlines()[0] == "node,d1@1,d5@1,d1@2,d5@2"
+
     def test_directed_defaults_to_both_directions(self, capsys):
         code, out, _ = run(capsys, "compute", "--dataset", "toy-directed", "--metrics", "d1")
         assert code == 0
