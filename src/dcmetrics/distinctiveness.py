@@ -235,8 +235,8 @@ def all_distinctiveness(
                 per_edge = np.power(weights, alpha + 1.0)
                 per_edge /= s_alpha[indices]
             # the ratio is inf or nan past an overflowing power, and 0 past an inf strength
-            past = np.flatnonzero(~np.isfinite(per_edge) | np.isinf(s_alpha)[indices])
-            if past.size:
+            if not (np.isfinite(per_edge).all() and np.isfinite(s_alpha).all()):
+                past = np.flatnonzero(~np.isfinite(per_edge) | np.isinf(s_alpha)[indices])
                 per_edge[past] = _d4_rescaled(weights[past], indices[past], s_indptr, s_rows, s_weights, alpha)
             out["d4"] = vector("d4", row_sums(per_edge))
             del per_edge

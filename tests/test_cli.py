@@ -61,11 +61,6 @@ class TestCompute:
         assert (code, out) == (1, "")
         assert err == f"error: alpha {float(alphas.split(',')[0])!r} is given more than once\n"
 
-    def test_distinct_alphas_keep_their_columns(self, capsys):
-        code, out, _ = run(capsys, "compute", "--dataset", "toy-undirected", "--metrics", "d1,d5", "--alpha", "1,2")
-        assert code == 0
-        assert out.splitlines()[0] == "node,d1@1,d5@1,d1@2,d5@2"
-
     def test_directed_defaults_to_both_directions(self, capsys):
         code, out, _ = run(capsys, "compute", "--dataset", "toy-directed", "--metrics", "d1")
         assert code == 0
