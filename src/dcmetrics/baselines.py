@@ -30,6 +30,8 @@ per source, which ``tests/naive.py`` keeps as the reference:
   tail first: the loop's stack-pop order;
 - the per-source dependencies are added into the scores in source order.
 
+``_hop_paths`` gives closeness from betweenness's search; ``_power_stack`` stacks eigenvector's power loop.
+
 Weighted, both run ``_dijkstra``: a binary heap per source over the CSR
 arrays as flat Python lists, with a fixed visit order and tie rule (path
 lengths compared with ``==``), so they too are reproducible bit for bit.
@@ -218,15 +220,21 @@ def closeness_centrality(graph: Graph, weighted: bool = False) -> CentralityVect
     node of a one-node graph scores 0.0, as in networkx."""
     _require_undirected(graph, "closeness centrality")
     sums = _dijkstra_distance_sums(graph) if weighted else _hop_distance_sums(graph)
-    values = np.array([(graph.n - 1) / float(total) if total else 0.0 for total in sums])
-    return _vector(graph, "closeness", weighted, values)
+    return _vector(graph, "closeness", weighted, _closeness(graph.n, sums))
 
 
-def _hop_betweenness(graph: Graph) -> np.ndarray:
+def _closeness(n: int, sums: list) -> np.ndarray:
+    return np.array([(n - 1) / float(total) if total else 0.0 for total in sums])
+
+
+def _hop_betweenness(graph: Graph) -> tuple[np.ndarray, list[int] | None]:
+    """Dependencies summed over all sources, and each source's hop-distance sum (None if one misses a node)."""
     n = graph.n
-    score = np.zeros(n)
+    score, sums, reached = np.zeros(n), [], True
     for lo, hi in _blocks(graph):
         level, pos, levels = _bfs(graph, lo, hi)
+        reached &= level.min() >= 0
+        sums += level.reshape(hi - lo, n).sum(axis=1).tolist()
         sigma = [np.ones(hi - lo)]
         for (_, tails, heads, before), (cells, *_) in zip(levels, levels[1:]):
             new = before < 0
@@ -244,7 +252,13 @@ def _hop_betweenness(graph: Graph) -> np.ndarray:
             delta = np.bincount(v, weights=terms, minlength=levels[depth - 1][0].size)
         for row in delta_cells.reshape(hi - lo, n):  # in source order
             score += row
-    return score
+    return score, sums if reached else None
+
+
+def _hop_paths(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Unweighted betweenness and closeness from one search; closeness's raises where a source misses a node."""
+    score, sums = _hop_betweenness(graph)
+    return score / 2.0, _closeness(graph.n, _hop_distance_sums(graph) if sums is None else sums)
 
 
 def _dijkstra_betweenness(graph: Graph) -> np.ndarray:
@@ -264,7 +278,7 @@ def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVe
     """Non-normalized shortest-path betweenness via pair-dependency
     accumulation; weighted mode uses arc lengths 1/weight."""
     _require_undirected(graph, "betweenness centrality")
-    score = _dijkstra_betweenness(graph) if weighted else _hop_betweenness(graph)
+    score = _dijkstra_betweenness(graph) if weighted else _hop_betweenness(graph)[0]
     # each unordered pair was accumulated from both endpoints
     return _vector(graph, "betweenness", weighted, score / 2.0)
 
@@ -286,22 +300,39 @@ def eigenvector_centrality(
     1e-9 relative should pass ``tol=1e-13``.
     """
     _require_undirected(graph, "eigenvector centrality")
-    n = graph.n
     if not is_connected(graph):
         raise DisconnectedGraphError("eigenvector centrality needs a connected graph")
     weights = graph.weights if weighted else np.ones_like(graph.weights)
+    return _vector(graph, "eigenvector", weighted, _power_stack(graph, 1, weights, tol, max_iter)[0])
+
+
+def _power_stack(graph: Graph, k: int, weights: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
+    """The power loop of ``eigenvector_centrality`` on k disjoint graphs of n
+    nodes each, graph g on nodes g*n..(g+1)*n-1 of ``graph``, as a (k, n)
+    stack. Each row stops at its own step, and keeps its graph's bits: its
+    norm is ``sqrt(row.dot(row))``, as ``np.linalg.norm`` of a vector. Of
+    the graphs that fail, the lowest-index one raises its own loop's error."""
+    n = graph.n // k
     rows = _entry_rows(graph.indptr)  # segment_sum would rebuild these on every step
-    x = np.full(n, 1.0 / np.sqrt(n))
-    with np.errstate(over="ignore"):  # y >= x > 0, so any overflow makes the norm inf
+    x = np.full((k, n), 1.0 / np.sqrt(n))
+    result, pending, error = np.empty_like(x), list(range(k)), None  # pending: neither stopped nor failed
+    with np.errstate(over="ignore", invalid="ignore"):  # y >= x > 0: an overflow makes a row's norm inf, the row nan
         for iteration in range(1, max_iter + 1):
-            y = np.bincount(rows, weights=weights * x[graph.indices], minlength=n) + x
-            norm = float(np.linalg.norm(y))
-            if norm == math.inf:
-                message = f"power iteration overflows float64 at the largest weight {float(weights.max())!r}"
-                raise ConvergenceError(message, iteration)
-            y /= norm
-            if float(np.linalg.norm(y - x)) < tol:
-                return _vector(graph, "eigenvector", weighted, y)
+            y = np.bincount(rows, weights=weights * x.ravel()[graph.indices], minlength=k * n).reshape(k, n) + x
+            norm = [math.sqrt(row.dot(row)) for row in y]
+            for g in [g for g in pending if norm[g] == math.inf][:1]:  # the graphs from g on no longer count
+                largest = float(weights[graph.indptr[g * n] : graph.indptr[(g + 1) * n]].max())
+                message = f"power iteration overflows float64 at the largest weight {largest!r}"
+                error, pending = ConvergenceError(message, iteration), pending[: pending.index(g)]
+            y /= np.array(norm).reshape(k, 1)
+            step = [math.sqrt(d.dot(d)) for d in y - x]
+            for g in [g for g in pending if step[g] < tol]:
+                result[g] = y[g]
+                pending.remove(g)
+            if not pending:
+                if error is not None:
+                    raise error
+                return result
             x = y
     raise ConvergenceError(f"power iteration did not reach tolerance {tol:g}", max_iter)
 

@@ -1,5 +1,10 @@
 """Ranking with tie rules, Spearman rank correlation, and the
-correlation-vs-alpha ensemble sweep."""
+correlation-vs-alpha ensemble sweep.
+
+The sweep scores chunks of graphs laid out as one block-diagonal graph: the
+per-node sums and eigenvector's power loop run once per chunk, betweenness and
+closeness share one search per graph. The DC kernels stay per graph and alpha:
+d1 and d2 read the graph's own n, and d3 its total weight."""
 
 from __future__ import annotations
 
@@ -8,9 +13,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import baseline
+# perfbench/tracer.py wraps stats.baseline and stats.spearman by name: keep them
+from .baselines import _hop_paths, _power_stack, baseline
 from .distinctiveness import METRICS, CentralityVector, all_distinctiveness
 from .generators import GeneratorParams, barabasi_albert
+from .graph import Graph
 
 __all__ = [
     "TIE_RULES",
@@ -36,6 +43,9 @@ SWEEP_BASELINES = (
     ("constraint", True),
     ("effective-size", True),
 )
+
+# graphs per block-diagonal graph: more cut the per-call overhead but raise the peak memory
+_CHUNK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +179,15 @@ class CorrelationSweep:
                     yield d, b, a, self.means[(d, b, a)]
 
 
+def _block_diagonal(graphs: list[Graph]) -> Graph:
+    """Graphs of n nodes as one, graph g's node v at g*n + v, rows in order: row sums keep their bits."""
+    n, starts = graphs[0].n, np.cumsum([0] + [g.indices.size for g in graphs])
+    indptr = np.concatenate([[0]] + [g.indptr[1:] + s for g, s in zip(graphs, starts)])
+    indices = np.concatenate([g.indices + i * n for i, g in enumerate(graphs)])
+    weights = np.concatenate([g.weights for g in graphs])
+    return Graph(graphs[0].nodes * len(graphs), False, indptr, indices, weights, indptr, indices, weights)
+
+
 def correlation_sweep(
     params: GeneratorParams,
     ensemble_size: int,
@@ -187,6 +206,8 @@ def correlation_sweep(
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
+    if params.n < 3:
+        raise ValueError(f"the sweep needs graphs of at least 3 nodes for rank correlation, got n={params.n}")
     if not alphas:
         raise ValueError("alphas must be non-empty")
     alphas = tuple(float(a) for a in alphas)
@@ -199,24 +220,31 @@ def correlation_sweep(
 
     # rho rows are (alpha, dc metric) pairs in loop order, columns baselines
     pairs = [(a, d) for a in alphas for d in dc_metrics]
-    sums = np.zeros((len(pairs), len(SWEEP_BASELINES)))
+    keys = [f"weighted-{m}" if w else m for m, w in SWEEP_BASELINES]
+    sums = np.zeros((len(pairs), len(keys)))
     overlaps: list[tuple[int, str, str, float, float]] = []
 
-    for g in range(ensemble_size):
-        graph = barabasi_albert(replace(params, seed=int(graph_seeds[g])))
-        # every vector scores graph.nodes in order, so vectors are paired
-        # by position (what spearman does for equal labels)
-        base = [baseline(graph, m, weighted=w) for m, w in SWEEP_BASELINES]
-        keys = [v.metric for v in base]
-        dc = []
-        for a in alphas:
-            vectors = all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
-            dc += [vectors[d].values for d in dc_metrics]
-        rho = _rho_matrix(_ranked(np.stack(dc)), _ranked(np.stack([v.values for v in base])))
-        sums += rho
-        for i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
-            a, d = pairs[i]
-            overlaps.append((g, d, keys[j], a, float(rho[i, j])))
+    for lo in range(0, ensemble_size, _CHUNK):
+        graphs = [barabasi_albert(replace(params, seed=int(s))) for s in graph_seeds[lo : lo + _CHUNK]]
+        k, chunk = len(graphs), _block_diagonal(graphs)
+        # a disconnected graph fails here, before eigenvector needs it connected
+        between, close = zip(*map(_hop_paths, graphs))
+        stacked = {("betweenness", False): between, ("closeness", False): close,
+                   ("eigenvector", True): _power_stack(chunk, k, chunk.weights)}
+        # every vector scores the nodes in order, so vectors are paired by
+        # position (what spearman does for equal labels)
+        base = np.stack([stacked[mw] if mw in stacked else baseline(chunk, *mw).values.reshape(k, -1)
+                         for mw in SWEEP_BASELINES], axis=1)
+        dc = [v.values for graph in graphs for a in alphas
+              for v in all_distinctiveness(graph, alpha=a, metrics=dc_metrics).values()]
+        dc_ranks = _ranked(np.stack(dc)).reshape(k, len(pairs), -1)
+        base_ranks = _ranked(base.reshape(k * len(keys), -1)).reshape(base.shape)
+        for g in range(k):
+            rho = _rho_matrix(dc_ranks[g], base_ranks[g])
+            sums += rho
+            for i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
+                a, d = pairs[i]
+                overlaps.append((lo + g, d, keys[j], a, float(rho[i, j])))
 
     means = {
         (d, b, a): float(sums[i * len(dc_metrics) + k, j]) / ensemble_size

@@ -21,6 +21,7 @@ from dcmetrics import (
 )
 from conftest import random_graph
 from dcmetrics import baselines
+from dcmetrics.stats import _block_diagonal
 from naive import (
     naive_betweenness,
     naive_brandes_betweenness,
@@ -349,6 +350,21 @@ class TestBreadthFirstBlocks:
         # the list covers connected graphs (n=1 among them) and disconnected ones
         assert outcomes == {False, DisconnectedGraphError}
 
+    @pytest.mark.parametrize("sources", [None, 1, 3])
+    def test_shared_search_bitwise(self, path_graphs, monkeypatch, sources):
+        """One search gives betweenness_centrality's and closeness_centrality's
+        bits, and closeness's error where a source misses a node."""
+        outcomes = set()
+        for g in _hop_graphs(path_graphs):
+            if sources is not None:
+                monkeypatch.setattr(baselines, "_BLOCK_CELLS", sources * (g.n + g.indices.size))
+            got = _outcome(lambda g: np.concatenate(baselines._hop_paths(g)), g)
+            want = _outcome(lambda g: np.concatenate([betweenness_centrality(g).values,
+                                                      closeness_centrality(g).values]), g)
+            assert got == want
+            outcomes.add(type(got) is tuple and got[0])
+        assert outcomes == {False, DisconnectedGraphError}
+
 
 class TestEigenvectorMatchesReference:
     """The power loop with its entry rows built once against the loop that
@@ -360,6 +376,84 @@ class TestEigenvectorMatchesReference:
         for g in path_graphs + [star(6)]:
             got = eigenvector_centrality(g, weighted=weighted, tol=tol).values
             assert np.array_equal(_bits(got), _bits(naive_power_eigenvector(g, weighted, tol)))
+
+
+def _power_groups(path_graphs):
+    """The path graphs, a star, 6-node paths and BA graphs, grouped by node
+    count: the graphs one stack can hold."""
+    ba = [barabasi_albert(GeneratorParams(n=50, m_attach=m, weight_low=1, weight_high=high, seed=seed))
+          for seed, (m, high) in enumerate([(1, 20), (2, 1), (2, 20), (3, 20), (4, 2)])]
+    paths = [build_graph([(f"p{i}", f"p{i + 1}", float(1 + i * w)) for i in range(5)]) for w in (0, 3)]
+    groups: dict[int, list] = {}
+    for g in path_graphs + ba + [star(6)] + paths:
+        groups.setdefault(g.n, []).append(g)
+    return list(groups.values())
+
+
+def _power_steps(g, weighted, tol):
+    """The step at which the reference power loop stops on g."""
+    lo, hi = 1, 10000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            naive_power_eigenvector(g, weighted, tol, max_iter=mid)
+            hi = mid
+        except ConvergenceError:
+            lo = mid + 1
+    return lo
+
+
+def _first_error(graphs, **kwargs):
+    """The error of eigenvector_centrality on the first of ``graphs`` it fails on."""
+    for g in graphs:
+        try:
+            eigenvector_centrality(g, weighted=True, **kwargs)
+        except ConvergenceError as exc:
+            return str(exc), exc.iterations
+
+
+def _stack_error(graphs, **kwargs):
+    chunk = _block_diagonal(graphs)
+    with pytest.raises(ConvergenceError) as exc:
+        baselines._power_stack(chunk, len(graphs), chunk.weights, **kwargs)
+    return str(exc.value), exc.value.iterations
+
+
+class TestPowerStack:
+    """The power loop over a stack of equal-size graphs, each row against
+    the loop on its graph alone (tests/naive.py), bit for bit, errors
+    included."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_bitwise(self, path_graphs, weighted, tol):
+        steps = set()
+        for group in _power_groups(path_graphs):
+            chunk = _block_diagonal(group)
+            weights = chunk.weights if weighted else np.ones_like(chunk.weights)
+            got = baselines._power_stack(chunk, len(group), weights, tol)
+            want = np.stack([naive_power_eigenvector(g, weighted, tol) for g in group])
+            assert np.array_equal(_bits(got), _bits(want))
+            steps.add(len({_power_steps(g, weighted, tol) for g in group}))
+        assert max(steps) >= 4  # rows of one stack stop at several steps
+
+    def test_lowest_failing_graph_raises(self):
+        """Graph 1 overflows at step 2, graph 2 at step 1: the per-graph loop
+        raises graph 1's error, and so does the stack."""
+        path = lambda w: build_graph([(f"p{i}", f"p{i + 1}", w if i == 9 else 1.0) for i in range(19)])
+        graphs = [path(1.0), path(2e154), path(5e154), path(1.0)]
+        want = _first_error(graphs)
+        assert want == ("power iteration overflows float64 at the largest weight 2e+154 (after 2 iterations)", 2)
+        assert _first_error(graphs[2:]) == (want[0].replace("2e+154 (after 2", "5e+154 (after 1"), 1)
+        assert _stack_error(graphs) == want
+        # two graphs that overflow at the same step
+        graphs = [path(1.0), path(5e154), path(6e154)]
+        assert _stack_error(graphs) == _first_error(graphs) == _first_error(graphs[1:2])
+        # a graph that has not converged by max_iter comes first
+        graphs = [graphs[0], graphs[2]]
+        want = _first_error(graphs, max_iter=3)
+        assert want == ("power iteration did not reach tolerance 1e-10 (after 3 iterations)", 3)
+        assert _stack_error(graphs, max_iter=3) == want
 
 
 def _ego_graphs(path_graphs):

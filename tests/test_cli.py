@@ -365,6 +365,11 @@ class TestGenerateAndSweep:
         assert svg1.read_bytes() == svg2.read_bytes()  # byte-identical SVG
         assert svg1.read_text().startswith("<svg")
 
+    def test_sweep_refuses_graphs_below_three_nodes(self, capsys):
+        code, out, err = run(capsys, "sweep", "--n", "2", "--m-attach", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: the sweep needs graphs of at least 3 nodes for rank correlation, got n=2\n"
+
     def test_sweep_refuses_repeated_alpha(self, capsys):
         code, out, err = run(capsys, "sweep", "--n", "10", "--ensemble", "3", "--alphas", "1,1")
         assert (code, out) == (1, "")

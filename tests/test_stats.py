@@ -11,7 +11,8 @@ from dcmetrics import (
     rank,
     spearman,
 )
-from dcmetrics.stats import _rank_array, _ranked, _rho_matrix
+from dcmetrics import stats
+from dcmetrics.stats import _CHUNK, _rank_array, _ranked, _rho_matrix
 from naive import (
     naive_correlation_sweep,
     naive_pairwise_spearman,
@@ -250,14 +251,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="DC metric 'd3' is given more than once"):
             correlation_sweep(PARAMS, ensemble_size=1, alphas=(1.0,), dc_metrics=("d3", "d1", "d3"))
 
+    def test_rejects_graphs_below_three_nodes_before_generating(self, monkeypatch):
+        monkeypatch.setattr(stats, "barabasi_albert", None)  # not called
+        with pytest.raises(ValueError, match="at least 3 nodes for rank correlation, got n=2"):
+            correlation_sweep(GeneratorParams(n=2, m_attach=1), ensemble_size=5, alphas=(1.0,))
+
     def test_matches_per_pair_reference(self):
-        """One rank stack and one rho matrix per graph, over the
-        breadth-first path baselines, give the sweep of per-pair ranking
-        over the one-source loops (tests/naive.py), bit for bit."""
+        """Chunks of graphs scored at once, with rank stacks per chunk and one
+        rho matrix per graph, over the breadth-first path baselines, give the
+        sweep of per-pair ranking over the one-source loops (tests/naive.py),
+        bit for bit, at ensemble sizes below, at and past the chunk size."""
         params = GeneratorParams(n=50, m_attach=2, weight_low=1, weight_high=20)
-        for seed in range(3):
-            got = correlation_sweep(params, ensemble_size=3, alphas=(1.0, 2.0, 5.0), seed=seed)
-            means, overlaps = naive_correlation_sweep(params, 3, (1.0, 2.0, 5.0), seed=seed)
+        for seed, size in enumerate([3, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]):
+            got = correlation_sweep(params, ensemble_size=size, alphas=(1.0, 2.0, 5.0), seed=seed)
+            means, overlaps = naive_correlation_sweep(params, size, (1.0, 2.0, 5.0), seed=seed)
             assert list(got.means) == list(means)
             assert np.array_equal(np.array(list(got.means.values())).view(np.int64),
                                   np.array(list(means.values())).view(np.int64))
