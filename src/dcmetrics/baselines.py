@@ -310,29 +310,33 @@ def _power_stack(graph: Graph, k: int, weights: np.ndarray, tol: float = 1e-10, 
     """The power loop of ``eigenvector_centrality`` on k disjoint graphs of n
     nodes each, graph g on nodes g*n..(g+1)*n-1 of ``graph``, as a (k, n)
     stack. Each row stops at its own step, and keeps its graph's bits: its
-    norm is ``sqrt(row.dot(row))``, as ``np.linalg.norm`` of a vector. Of
-    the graphs that fail, the lowest-index one raises its own loop's error."""
+    norm is ``sqrt(row.dot(row))``, as ``np.linalg.norm`` of a vector, and
+    one stacked ``matmul`` of the (k, 1, n) rows with their transposes takes
+    every row's dot at once. Of the graphs that fail, the lowest-index one
+    raises its own loop's error."""
     n = graph.n // k
     rows = _entry_rows(graph.indptr)  # segment_sum would rebuild these on every step
-    x = np.full((k, n), 1.0 / np.sqrt(n))
+    x = np.full((k, 1, n), 1.0 / np.sqrt(n))
     result, pending, error = np.empty_like(x), list(range(k)), None  # pending: neither stopped nor failed
     with np.errstate(over="ignore", invalid="ignore"):  # y >= x > 0: an overflow makes a row's norm inf, the row nan
         for iteration in range(1, max_iter + 1):
-            y = np.bincount(rows, weights=weights * x.ravel()[graph.indices], minlength=k * n).reshape(k, n) + x
-            norm = [math.sqrt(row.dot(row)) for row in y]
-            for g in [g for g in pending if norm[g] == math.inf][:1]:  # the graphs from g on no longer count
+            y = np.bincount(rows, weights=weights * x.ravel()[graph.indices], minlength=k * n).reshape(k, 1, n) + x
+            norm = np.sqrt(np.matmul(y, y.transpose(0, 2, 1)))
+            norms = norm.ravel().tolist()
+            for g in [g for g in pending if norms[g] == math.inf][:1]:  # the graphs from g on no longer count
                 largest = float(weights[graph.indptr[g * n] : graph.indptr[(g + 1) * n]].max())
                 message = f"power iteration overflows float64 at the largest weight {largest!r}"
                 error, pending = ConvergenceError(message, iteration), pending[: pending.index(g)]
-            y /= np.array(norm).reshape(k, 1)
-            step = [math.sqrt(d.dot(d)) for d in y - x]
+            y /= norm
+            d = y - x
+            step = np.sqrt(np.matmul(d, d.transpose(0, 2, 1))).ravel().tolist()
             for g in [g for g in pending if step[g] < tol]:
                 result[g] = y[g]
                 pending.remove(g)
             if not pending:
                 if error is not None:
                     raise error
-                return result
+                return result.reshape(k, n)
             x = y
     raise ConvergenceError(f"power iteration did not reach tolerance {tol:g}", max_iter)
 

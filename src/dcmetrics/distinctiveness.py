@@ -166,25 +166,32 @@ def all_distinctiveness(
     for m in metrics:
         MetricSpec(m, alpha, direction, relaxed_alpha)
     alpha = float(alpha)
-
-    indptr, indices, weights, nbr_degree, s_indptr, s_weights = _adjacency_view(graph, direction)
-    n = graph.n
-    if n < 2:
+    if graph.n < 2:
         raise ValueError("distinctiveness needs at least 2 nodes")
     isolates = graph.isolates()
+    # the sum of weights overflows near the float limit: take it only where d3 needs it
+    total = graph.total_weight() if "d3" in metrics else None
+    scores = _scores(graph, alpha, direction, metrics, graph.n, total)
+    # a vector is checked as it is made, in the kernels' order, so the first non-finite one names its metric
+    vectors = {
+        m: CentralityVector(metric=m, alpha=alpha, direction=direction, labels=graph.nodes,
+                            values=scores[m], isolates=isolates)
+        for m in METRICS if m in scores
+    }
+    return {m: vectors[m] for m in metrics}
 
-    out: dict[str, CentralityVector] = {}
 
-    def vector(metric: str, values: np.ndarray) -> CentralityVector:
-        return CentralityVector(
-            metric=metric,
-            alpha=alpha,
-            direction=direction,
-            labels=graph.nodes,
-            values=values,
-            isolates=isolates,
-        )
+def _scores(graph: Graph, alpha: float, direction: str, metrics, n: int, total) -> dict[str, np.ndarray]:
+    """The kernels of ``all_distinctiveness`` on checked arguments, as arrays.
 
+    ``n`` is the node count d1 and d2 read, and ``total`` the total weight
+    d3 reads: a float, or one per entry of the scored adjacency. Every score
+    is a sum over its node's own row, so a block-diagonal graph of several
+    graphs of n nodes, each entry given its own graph's total, scores each
+    graph as it scores on its own, bit for bit.
+    """
+    indptr, indices, weights, nbr_degree, s_indptr, s_weights = _adjacency_view(graph, direction)
+    out: dict[str, np.ndarray] = {}
     rows = _entry_rows(indptr)
 
     def row_sums(values: np.ndarray) -> np.ndarray:
@@ -210,9 +217,9 @@ def all_distinctiveness(
         penalty[over] = math.log10(n - 1) - alpha * np.log10(deg_f[over])
         per_edge = penalty[indices]
         if "d1" in metrics:
-            out["d1"] = vector("d1", row_sums(weights * per_edge))
+            out["d1"] = row_sums(weights * per_edge)
         if "d2" in metrics:
-            out["d2"] = vector("d2", row_sums(per_edge))
+            out["d2"] = row_sums(per_edge)
         del per_edge
 
     if "d3" in metrics or "d4" in metrics:
@@ -221,14 +228,13 @@ def all_distinctiveness(
             s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, s_rows)
         if "d3" in metrics:
             # total weight: undirected edges are counted once, arcs all summed
-            total = graph.total_weight()
             per_edge = s_alpha[indices]
             per_edge -= np.power(weights, alpha)
             per_edge += 1.0
             np.divide(total, per_edge, out=per_edge)
             np.log10(per_edge, out=per_edge)
             np.multiply(weights, per_edge, out=per_edge)
-            out["d3"] = vector("d3", row_sums(per_edge))
+            out["d3"] = row_sums(per_edge)
             del per_edge
         if "d4" in metrics:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -238,15 +244,15 @@ def all_distinctiveness(
             if not (np.isfinite(per_edge).all() and np.isfinite(s_alpha).all()):
                 past = np.flatnonzero(~np.isfinite(per_edge) | np.isinf(s_alpha)[indices])
                 per_edge[past] = _d4_rescaled(weights[past], indices[past], s_indptr, s_rows, s_weights, alpha)
-            out["d4"] = vector("d4", row_sums(per_edge))
+            out["d4"] = row_sums(per_edge)
             del per_edge
 
     if "d5" in metrics:
         reciprocal = 1.0 / power
         reciprocal[over] = deg_f[over] ** -alpha  # 0.0 or a subnormal
-        out["d5"] = vector("d5", row_sums(reciprocal[indices]))
+        out["d5"] = row_sums(reciprocal[indices])
 
-    return {m: out[m] for m in metrics}
+    return out
 
 
 def _d4_rescaled(w, nbr, s_indptr, s_rows, s_weights, alpha: float) -> np.ndarray:

@@ -13,9 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-# perfbench/tracer.py wraps stats.baseline and stats.spearman by name: keep them
+# perfbench/tracer.py wraps stats.all_distinctiveness, stats.baseline,
+# stats.barabasi_albert and stats.spearman by name: keep them
 from .baselines import _hop_paths, _power_stack, baseline
-from .distinctiveness import METRICS, CentralityVector, all_distinctiveness
+from .distinctiveness import METRICS, CentralityVector, MetricSpec, _scores, all_distinctiveness
 from .generators import GeneratorParams, barabasi_albert
 from .graph import Graph
 
@@ -124,20 +125,22 @@ def _ranked(stack: np.ndarray) -> np.ndarray:
 def _rho_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Spearman rho of every row of the rank stack ``x`` (m x n) against
     every row of ``y`` (k x n), as an m x k matrix: Pearson on the ranks.
+    Stacks of such pairs, (..., m, n) against (..., k, n), give (..., m, k).
 
     Average ranks are multiples of 1/2, so all the sums are exact while
     n**3 < 2**53. Equal and reversed rows need no special case: the mean
     rank is exactly (n+1)/2, so their deviations are equal or negated bit
     for bit, cov = +-sxx = +-syy, and sqrt(fl(s*s)) == s in IEEE arithmetic.
     The covariance is summed one row of ``x`` at a time, so the products
-    stay k x n, with the same contiguous pairwise reduction for each pair.
+    stay k x n (times the stack), with the same contiguous pairwise
+    reduction for each pair.
     """
-    if np.any(np.ptp(x, axis=1) == 0.0) or np.any(np.ptp(y, axis=1) == 0.0):
+    if np.any(np.ptp(x, axis=-1) == 0.0) or np.any(np.ptp(y, axis=-1) == 0.0):
         raise ValueError("rank correlation is undefined for constant scores")
-    dx = x - x.mean(axis=1, keepdims=True)
-    dy = y - y.mean(axis=1, keepdims=True)
-    cov = np.array([np.sum(row * dy, axis=1) for row in dx])
-    denom = np.sqrt(np.sum(dx * dx, axis=1)[:, None] * np.sum(dy * dy, axis=1)[None, :])
+    dx = x - x.mean(axis=-1, keepdims=True)
+    dy = y - y.mean(axis=-1, keepdims=True)
+    cov = np.stack([np.sum(dx[..., i, None, :] * dy, axis=-1) for i in range(x.shape[-2])], axis=-2)
+    denom = np.sqrt(np.sum(dx * dx, axis=-1)[..., :, None] * np.sum(dy * dy, axis=-1)[..., None, :])
     return np.clip(cov / denom, -1.0, 1.0)
 
 
@@ -215,6 +218,9 @@ def correlation_sweep(
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"{kind} {repeated[0]!r} is given more than once")
+    for a in alphas:  # the checks all_distinctiveness makes, before any graph is generated
+        for d in dc_metrics:
+            MetricSpec(d, a)
     seeder = np.random.default_rng(np.random.SeedSequence(seed))
     graph_seeds = seeder.integers(0, 2**63 - 1, size=ensemble_size)
 
@@ -235,16 +241,23 @@ def correlation_sweep(
         # position (what spearman does for equal labels)
         base = np.stack([stacked[mw] if mw in stacked else baseline(chunk, *mw).values.reshape(k, -1)
                          for mw in SWEEP_BASELINES], axis=1)
-        dc = [v.values for graph in graphs for a in alphas
-              for v in all_distinctiveness(graph, alpha=a, metrics=dc_metrics).values()]
-        dc_ranks = _ranked(np.stack(dc)).reshape(k, len(pairs), -1)
+        # the DC kernels score the chunk at once: d1 and d2 read the graphs'
+        # common n, d3 each entry's own graph total
+        totals = np.repeat([g.total_weight() for g in graphs], [g.indices.size for g in graphs])
+        scores = [_scores(chunk, a, "undirected", dc_metrics, params.n, totals) for a in alphas]
+        dc = np.stack([s[d].reshape(k, -1) for s in scores for d in dc_metrics], axis=1)
+        if not np.isfinite(dc).all():  # raise the error of the first graph that fails, as scored alone
+            for graph in graphs:
+                for a in alphas:
+                    all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
+        dc_ranks = _ranked(dc.reshape(k * len(pairs), -1)).reshape(dc.shape)
         base_ranks = _ranked(base.reshape(k * len(keys), -1)).reshape(base.shape)
-        for g in range(k):
-            rho = _rho_matrix(dc_ranks[g], base_ranks[g])
-            sums += rho
-            for i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
-                a, d = pairs[i]
-                overlaps.append((lo + g, d, keys[j], a, float(rho[i, j])))
+        rho = _rho_matrix(dc_ranks, base_ranks)
+        for r in rho:  # in graph order
+            sums += r
+        for g, i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
+            a, d = pairs[i]
+            overlaps.append((lo + g, d, keys[j], a, float(rho[g, i, j])))
 
     means = {
         (d, b, a): float(sums[i * len(dc_metrics) + k, j]) / ensemble_size

@@ -22,7 +22,9 @@ from dcmetrics import (
     negative_contribution_threshold,
 )
 from dcmetrics.datasets import builtin_dataset
+from dcmetrics.distinctiveness import _scores
 from dcmetrics.graph import graph_from_arrays
+from dcmetrics.stats import _block_diagonal
 from conftest import random_graph
 from naive import naive_degree_distinctiveness, naive_distinctiveness
 from reference_values import DIRECTED_TOY_SCORES, PRINT_TOL, TOY_SCORES
@@ -396,6 +398,40 @@ class TestPerNodeDegreeTerms:
             got = scored_or_raised(all_distinctiveness, g, alpha, direction, relaxed, metrics)
             want = scored_or_raised(naive_degree_distinctiveness, g, alpha, direction, relaxed, metrics)
             assert got == want, (name, direction)
+
+
+class TestStackedKernels:
+    """``_scores`` on a block-diagonal graph of several graphs of n nodes,
+    given the common n and each entry's own graph total, scores every graph
+    as ``all_distinctiveness`` scores it alone, bit for bit."""
+
+    @staticmethod
+    def assert_stacked_bitwise(graphs, alpha, metrics):
+        chunk = _block_diagonal(graphs)
+        totals = np.repeat([g.total_weight() for g in graphs], [g.indices.size for g in graphs])
+        got = _scores(chunk, float(alpha), "undirected", metrics, graphs[0].n, totals)
+        for m in metrics:
+            want = np.concatenate([all_distinctiveness(g, alpha, metrics=metrics)[m].values for g in graphs])
+            assert got[m].tobytes() == want.tobytes(), (m, alpha)
+
+    @pytest.mark.parametrize("alpha", [1, 2.5, 5, 400])
+    def test_bitwise_per_graph(self, alpha):
+        graphs = [barabasi_albert(GeneratorParams(n=40, m_attach=m, weight_high=2, seed=seed))
+                  for seed, m in enumerate((1, 2, 3, 2, 1))]
+        assert len({g.total_weight() for g in graphs}) == len(graphs)
+        # at 400, a neighbor of degree 6 or more overflows the degree power of d1, d2 and d5
+        assert max(int(g.out_degrees().max()) for g in graphs) >= 6
+        self.assert_stacked_bitwise(graphs, alpha, METRICS)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1, 2, 7])
+    def test_heavy_weights_take_d4_rescaled_terms(self, alpha):
+        graphs = [
+            build_graph([("A", "B", 1e200), ("B", "C", 1.0), ("C", "D", 2.0), ("D", "E", 3.0)]),
+            build_graph([("a", "b", 1e250), ("b", "c", 1e300), ("b", "d", 1e-3), ("c", "d", 1e150), ("d", "e", 1.0)]),
+            build_graph([("A", "B", 1.0), ("B", "C", 2.0), ("C", "D", 3.0), ("D", "E", 4.0)]),
+        ]
+        self.assert_stacked_bitwise(graphs, alpha, ("d1", "d2", "d4", "d5"))
 
 
 class TestKernelMemory:

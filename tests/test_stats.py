@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dcmetrics import (
+    METRICS,
     TIE_RULES,
     CentralityVector,
     GeneratorParams,
@@ -207,6 +208,24 @@ class TestRhoMatrix:
         with pytest.raises(ValueError, match="constant"):
             naive_pairwise_spearman(x[1], y[0])
 
+    def test_stacks_match_separate_matrices(self):
+        """A (g, m, n) stack against a (g, j, n) stack gives, bit for bit,
+        the g matrices of the 2-D calls; a constant row in any one graph of
+        either stack is refused."""
+        rng = np.random.default_rng(17)
+        for g, m, j, n in ((1, 1, 1, 3), (8, 15, 7, 50), (3, 4, 6, 9)):
+            x = _ranked(tie_rows(rng, g * m, n)).reshape(g, m, n)
+            y = _ranked(tie_rows(rng, g * j, n)).reshape(g, j, n)
+            x, y = x[:, np.ptp(x, axis=2).min(axis=0) > 0], y[:, np.ptp(y, axis=2).min(axis=0) > 0]
+            rho = _rho_matrix(x, y)
+            assert rho.shape == (g, x.shape[1], y.shape[1])
+            assert rho.tobytes() == np.stack([_rho_matrix(a, b) for a, b in zip(x, y)]).tobytes()
+        flat = x.copy()
+        flat[-1, 1] = 2.0
+        for a, b in ((flat, y), (y, flat)):
+            with pytest.raises(ValueError, match="^rank correlation is undefined for constant scores$"):
+                _rho_matrix(a, b)
+
 
 PARAMS = GeneratorParams(n=30, m_attach=2, weight_low=1, weight_high=20)
 
@@ -255,6 +274,22 @@ class TestSweep:
         monkeypatch.setattr(stats, "barabasi_albert", None)  # not called
         with pytest.raises(ValueError, match="at least 3 nodes for rank correlation, got n=2"):
             correlation_sweep(GeneratorParams(n=2, m_attach=1), ensemble_size=5, alphas=(1.0,))
+
+    @pytest.mark.parametrize("alphas,dc_metrics,message", [
+        ((1.0, 0.5), METRICS, r"alpha must be >= 1 \(pass relaxed_alpha=True to explore 0 < alpha < 1\), got 0.5"),
+        ((1.0,), ("d1", "d6"), r"unknown metric 'd6', expected one of \('d1', 'd2', 'd3', 'd4', 'd5'\)"),
+    ])
+    def test_rejects_alpha_and_metric_before_generating(self, monkeypatch, alphas, dc_metrics, message):
+        monkeypatch.setattr(stats, "barabasi_albert", None)  # not called
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            correlation_sweep(PARAMS, ensemble_size=3, alphas=alphas, dc_metrics=dc_metrics)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_d3_fails_as_scored_alone(self):
+        """d3's strength power overflows at alpha 300 on weights up to 20:
+        the sweep raises the error all_distinctiveness raises on that graph."""
+        with pytest.raises(ValueError, match="^non-finite score in d3 vector$"):
+            correlation_sweep(PARAMS, ensemble_size=_CHUNK + 1, alphas=(1.0, 300.0), seed=3)
 
     def test_matches_per_pair_reference(self):
         """Chunks of graphs scored at once, with rank stacks per chunk and one
