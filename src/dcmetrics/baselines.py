@@ -30,7 +30,9 @@ per source, which ``tests/naive.py`` keeps as the reference:
   tail first: the loop's stack-pop order;
 - the per-source dependencies are added into the scores in source order.
 
-``_hop_paths`` gives closeness from betweenness's search; ``_power_stack`` stacks eigenvector's power loop.
+``_hop_paths`` gives closeness from betweenness's search; ``_power_stack``
+stacks eigenvector's power loop, and takes the norms of all its rows with one
+stacked ``matmul``.
 
 Weighted, both run ``_dijkstra``: a binary heap per source over the CSR
 arrays as flat Python lists, with a fixed visit order and tie rule (path
@@ -311,8 +313,8 @@ def _power_stack(graph: Graph, k: int, weights: np.ndarray, tol: float = 1e-10, 
     nodes each, graph g on nodes g*n..(g+1)*n-1 of ``graph``, as a (k, n)
     stack. Each row stops at its own step, and keeps its graph's bits: its
     norm is ``sqrt(row.dot(row))``, as ``np.linalg.norm`` of a vector, and
-    one stacked ``matmul`` of the (k, 1, n) rows with their transposes takes
-    every row's dot at once. Of the graphs that fail, the lowest-index one
+    a ``matmul`` of the (k, 1, n) rows with their (k, n, 1) transposes takes
+    those k dots, bit for bit. Of the graphs that fail, the lowest-index one
     raises its own loop's error."""
     n = graph.n // k
     rows = _entry_rows(graph.indptr)  # segment_sum would rebuild these on every step

@@ -172,20 +172,18 @@ def all_distinctiveness(
     # the sum of weights overflows near the float limit: take it only where d3 needs it
     total = graph.total_weight() if "d3" in metrics else None
     scores = _scores(graph, alpha, direction, metrics, graph.n, total)
-    # a vector is checked as it is made, in the kernels' order, so the first non-finite one names its metric
-    vectors = {
-        m: CentralityVector(metric=m, alpha=alpha, direction=direction, labels=graph.nodes,
-                            values=scores[m], isolates=isolates)
-        for m in METRICS if m in scores
-    }
+    # each vector checks its scores as it is made, in the kernels' order
+    vectors = {m: CentralityVector(m, alpha, direction, graph.nodes, values, isolates) for m, values in scores.items()}
     return {m: vectors[m] for m in metrics}
 
 
-def _scores(graph: Graph, alpha: float, direction: str, metrics, n: int, total) -> dict[str, np.ndarray]:
+def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...], n: int,
+            total: float | np.ndarray | None) -> dict[str, np.ndarray]:
     """The kernels of ``all_distinctiveness`` on checked arguments, as arrays.
 
     ``n`` is the node count d1 and d2 read, and ``total`` the total weight
-    d3 reads: a float, or one per entry of the scored adjacency. Every score
+    d3 reads (undirected edges counted once, arcs all summed): a float, or
+    one per entry of the scored adjacency. Every score
     is a sum over its node's own row, so a block-diagonal graph of several
     graphs of n nodes, each entry given its own graph's total, scores each
     graph as it scores on its own, bit for bit.
@@ -227,7 +225,6 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics, n: int, total) 
         with np.errstate(over="ignore"):  # an inf strength fails d3 below and is rescaled for d4
             s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, s_rows)
         if "d3" in metrics:
-            # total weight: undirected edges are counted once, arcs all summed
             per_edge = s_alpha[indices]
             per_edge -= np.power(weights, alpha)
             per_edge += 1.0

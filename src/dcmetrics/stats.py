@@ -1,10 +1,11 @@
 """Ranking with tie rules, Spearman rank correlation, and the
 correlation-vs-alpha ensemble sweep.
 
-The sweep scores chunks of graphs laid out as one block-diagonal graph: the
-per-node sums and eigenvector's power loop run once per chunk, betweenness and
-closeness share one search per graph. The DC kernels stay per graph and alpha:
-d1 and d2 read the graph's own n, and d3 its total weight."""
+The sweep scores chunks of graphs laid out as one block-diagonal graph. The
+per-node sums, eigenvector's power loop, the ranks and the rho matrices run
+once per chunk, and the DC kernels once per chunk and alpha: d1 and d2 read
+the graphs' common n, and d3 each entry's own graph total. Betweenness and
+closeness share one search per graph."""
 
 from __future__ import annotations
 
@@ -198,14 +199,15 @@ def correlation_sweep(
     seed: int = 0,
     dc_metrics: tuple[str, ...] = METRICS,
 ) -> CorrelationSweep:
-    """Generate ``ensemble_size`` graphs, score all DC metrics at each alpha
-    plus every baseline once per graph, and average the pairwise Spearman
+    """Generate ``ensemble_size`` graphs, score each with all DC metrics at
+    each alpha and with every baseline, and average the pairwise Spearman
     correlations. Deterministic given the seed (per-graph seeds are drawn
     from one PCG64 stream; the ``seed`` field of ``params`` is ignored).
 
     Pairs whose |rho| reaches 1 within 1e-12 on an individual graph are
     recorded in ``perfect_overlaps`` rather than failing the sweep. Each
-    alpha and each DC metric must appear once.
+    alpha and each DC metric must appear once, and every pair of them is
+    checked before any graph is generated.
     """
     if ensemble_size < 1:
         raise ValueError("ensemble_size must be >= 1")
