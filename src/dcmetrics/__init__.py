@@ -6,127 +6,17 @@ normalization, in/out variants for directed graphs, the classic baseline
 centralities they are compared against, rank/correlation statistics, a
 seeded Barabasi-Albert generator, embedded evaluation datasets, and
 edge-list/GEXF/CSV/JSON/SVG i-o behind a CLI.
+
+Every name a module lists in its ``__all__`` is importable from here.
 """
 
-from .baselines import (
-    BASELINES,
-    all_baselines,
-    baseline,
-    betweenness_centrality,
-    burt_constraint,
-    closeness_centrality,
-    degree_centrality,
-    effective_size,
-    eigenvector_centrality,
-)
-from .datasets import DATASET_NAMES, builtin_dataset
-from .distinctiveness import (
-    METRICS,
-    BoundsRecord,
-    CentralityVector,
-    MetricSpec,
-    all_distinctiveness,
-    bounds,
-    d1,
-    d2,
-    d3,
-    d4,
-    d5,
-    distinctiveness,
-    negative_contribution_threshold,
-    normalize,
-)
-from .errors import (
-    ConvergenceError,
-    DCMetricsError,
-    DisconnectedGraphError,
-    GraphBuildError,
-    ParseError,
-)
-from .generators import GeneratorParams, barabasi_albert
-from .graph import (
-    BuildReport,
-    DegreeProfile,
-    Graph,
-    ValidationReport,
-    build_graph,
-    is_connected,
-    profile,
-    validate,
-)
-from .io import ResultTable, parse_edge_list, parse_gexf_minimal, write_edge_list
-from .stats import (
-    SWEEP_BASELINES,
-    TIE_RULES,
-    CorrelationSweep,
-    RankVector,
-    correlation_sweep,
-    rank,
-    spearman,
-)
-from .svgchart import render_line_chart
+from . import baselines, datasets, distinctiveness, errors, generators, graph, io, stats, svgchart
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graph core
-    "Graph",
-    "BuildReport",
-    "DegreeProfile",
-    "ValidationReport",
-    "build_graph",
-    "profile",
-    "validate",
-    "is_connected",
-    # distinctiveness
-    "METRICS",
-    "MetricSpec",
-    "CentralityVector",
-    "BoundsRecord",
-    "d1",
-    "d2",
-    "d3",
-    "d4",
-    "d5",
-    "distinctiveness",
-    "all_distinctiveness",
-    "bounds",
-    "normalize",
-    "negative_contribution_threshold",
-    # baselines
-    "BASELINES",
-    "baseline",
-    "all_baselines",
-    "degree_centrality",
-    "closeness_centrality",
-    "betweenness_centrality",
-    "eigenvector_centrality",
-    "burt_constraint",
-    "effective_size",
-    # stats
-    "TIE_RULES",
-    "SWEEP_BASELINES",
-    "RankVector",
-    "CorrelationSweep",
-    "rank",
-    "spearman",
-    "correlation_sweep",
-    # generators and datasets
-    "GeneratorParams",
-    "barabasi_albert",
-    "DATASET_NAMES",
-    "builtin_dataset",
-    # i/o
-    "ResultTable",
-    "parse_edge_list",
-    "parse_gexf_minimal",
-    "write_edge_list",
-    "render_line_chart",
-    # errors
-    "DCMetricsError",
-    "GraphBuildError",
-    "ParseError",
-    "DisconnectedGraphError",
-    "ConvergenceError",
-]
+__all__ = ["__version__"]
+# the tuple is made before the loop rebinds ``distinctiveness`` to the function
+for _module in (graph, distinctiveness, baselines, stats, generators, datasets, io, svgchart, errors):
+    __all__ += _module.__all__
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module

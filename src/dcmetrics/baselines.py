@@ -70,8 +70,6 @@ __all__ = [
     "all_baselines",
 ]
 
-BASELINES = ("degree", "closeness", "betweenness", "eigenvector", "constraint", "effective-size")
-
 # Bounds the arrays of a block: a breadth-first block takes as many sources
 # as keep sources x (nodes + arcs) within this many cells (its per-cell
 # arrays and the arc lists it keeps per level), a triangle block as many
@@ -428,6 +426,7 @@ _DISPATCH = {
     "constraint": burt_constraint,
     "effective-size": effective_size,
 }
+BASELINES = tuple(_DISPATCH)
 
 
 def baseline(graph: Graph, metric: str, weighted: bool = False) -> CentralityVector:

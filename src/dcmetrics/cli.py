@@ -22,6 +22,7 @@ from . import __version__
 from .baselines import BASELINES, baseline
 from .datasets import DATASET_NAMES, builtin_dataset
 from .distinctiveness import (
+    DIRECTIONS,
     METRICS,
     CentralityVector,
     all_distinctiveness,
@@ -32,7 +33,7 @@ from .errors import DCMetricsError
 from .generators import GeneratorParams, barabasi_albert
 from .graph import Graph, profile
 from .io import ResultTable, parse_edge_list, parse_gexf_minimal, write_edge_list
-from .stats import _ranked, _rho_matrix, correlation_sweep, rank, spearman
+from .stats import TIE_RULES, _ranked, _rho_matrix, correlation_sweep, rank, spearman
 from .svgchart import render_line_chart
 
 
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--metrics", default="dc", help="comma list of d1..d5, baseline names, dc, baselines, all")
     p.add_argument("--alpha", default="1", help="comma list of alpha values")
-    p.add_argument("--direction", default="auto", choices=("auto", "undirected", "in", "out", "both"))
+    p.add_argument("--direction", default="auto", choices=("auto", *DIRECTIONS, "both"))
     p.add_argument("--normalize", action="store_true", help="map DC scores through their analytic bounds")
     p.add_argument("--weighted", action="store_true", help="weighted variants of baseline metrics")
     p.add_argument("--relaxed-alpha", action="store_true", help="allow 0 < alpha < 1")
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--direction", default="auto", choices=("auto", "undirected", "in", "out"))
-    p.add_argument("--tie-rule", default="competition", choices=("competition", "average"))
+    p.add_argument("--direction", default="auto", choices=("auto", *DIRECTIONS))
+    p.add_argument("--tie-rule", default="competition", choices=TIE_RULES)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_rank)
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input2", help="second edge-list or GEXF file (single-metric two-graph mode)")
     p.add_argument("--metrics", default="dc")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--direction", default="auto", choices=("auto", "undirected", "in", "out"))
+    p.add_argument("--direction", default="auto", choices=("auto", *DIRECTIONS))
     p.add_argument("--weighted", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_compare)

@@ -77,21 +77,23 @@ _ZACHARY = [
     (29, 33, 2), (30, 32, 3), (30, 33, 3), (31, 32, 4), (31, 33, 4), (32, 33, 5),
 ]
 
-DATASET_NAMES = ("toy-undirected", "toy-directed", "florentine", "zachary")
+# name -> (edges, directed, node order: [] for first appearance)
+_DATASETS = {
+    "toy-undirected": (_TOY_UNDIRECTED, False, []),
+    "toy-directed": (_TOY_DIRECTED, True, []),
+    "florentine": (_FLORENTINE, False, []),
+    "zachary": ([(str(u), str(v), float(w)) for u, v, w in _ZACHARY], False, [str(i) for i in range(34)]),
+}
+DATASET_NAMES = tuple(_DATASETS)
 
 
 def dataset_edges(name: str) -> tuple[list[tuple[str, str, float]], bool, list[str]]:
     """Edge list, directedness flag, and node order for a built-in dataset."""
-    if name == "toy-undirected":
-        return list(_TOY_UNDIRECTED), False, []
-    if name == "toy-directed":
-        return list(_TOY_DIRECTED), True, []
-    if name == "florentine":
-        return list(_FLORENTINE), False, []
-    if name == "zachary":
-        edges = [(str(u), str(v), float(w)) for u, v, w in _ZACHARY]
-        return edges, False, [str(i) for i in range(34)]
-    raise ValueError(f"unknown dataset {name!r}, available: {', '.join(DATASET_NAMES)}")
+    try:
+        edges, directed, nodes = _DATASETS[name]
+    except KeyError:
+        raise ValueError(f"unknown dataset {name!r}, available: {', '.join(DATASET_NAMES)}") from None
+    return list(edges), directed, list(nodes)
 
 
 def builtin_dataset(name: str) -> Graph:

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["DCMetricsError", "GraphBuildError", "ParseError", "DisconnectedGraphError",
+           "ConvergenceError"]
+
 
 class DCMetricsError(Exception):
     """Base class for all errors raised by dcmetrics."""

@@ -35,6 +35,9 @@ import numpy as np
 
 from .errors import GraphBuildError
 
+__all__ = ["Graph", "BuildReport", "DegreeProfile", "ValidationReport",
+           "build_graph", "profile", "validate", "is_connected"]
+
 Edge = tuple[str, str, float]
 
 
