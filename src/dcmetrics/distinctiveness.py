@@ -172,9 +172,11 @@ def all_distinctiveness(
     # the sum of weights overflows near the float limit: take it only where d3 needs it
     total = graph.total_weight() if "d3" in metrics else None
     scores = _scores(graph, alpha, direction, metrics, graph.n, total)
-    # each vector checks its scores as it is made, in the kernels' order
-    vectors = {m: CentralityVector(m, alpha, direction, graph.nodes, values, isolates) for m, values in scores.items()}
-    return {m: vectors[m] for m in metrics}
+    for m, values in scores.items():  # in the kernels' order
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{m} of node {graph.nodes[bad[0]]!r} overflows float64 at alpha={alpha:g} ({direction})")
+    return {m: CentralityVector(m, alpha, direction, graph.nodes, scores[m], isolates) for m in metrics}
 
 
 def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...], n: int,
@@ -226,11 +228,13 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
             s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, s_rows)
         if "d3" in metrics:
             per_edge = s_alpha[indices]
-            per_edge -= np.power(weights, alpha)
-            per_edge += 1.0
-            np.divide(total, per_edge, out=per_edge)
-            np.log10(per_edge, out=per_edge)
-            np.multiply(weights, per_edge, out=per_edge)
+            # past an overflowing power the score is not finite, which all_distinctiveness reports
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                per_edge -= np.power(weights, alpha)
+                per_edge += 1.0
+                np.divide(total, per_edge, out=per_edge)
+                np.log10(per_edge, out=per_edge)
+                np.multiply(weights, per_edge, out=per_edge)
             out["d3"] = row_sums(per_edge)
             del per_edge
         if "d4" in metrics:

@@ -201,8 +201,11 @@ def naive_degree_distinctiveness(graph, alpha, direction=None, relaxed_alpha=Fal
         return per_edge, np.flatnonzero(np.isinf(per_edge))
 
     def vector(metric, values):
-        return CentralityVector(metric, alpha, direction, graph.nodes, segment_sum(values, indptr),
-                                graph.isolates())
+        values = segment_sum(values, indptr)
+        if not np.isfinite(values).all():
+            node = graph.nodes[np.flatnonzero(~np.isfinite(values))[0]]
+            raise ValueError(f"{metric} of node {node!r} overflows float64 at alpha={alpha:g} ({direction})")
+        return CentralityVector(metric, alpha, direction, graph.nodes, values, graph.isolates())
 
     out = {}
     if "d1" in metrics or "d2" in metrics:

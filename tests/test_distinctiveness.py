@@ -353,7 +353,7 @@ class TestWeightPowerOverflow:
 
     @pytest.mark.parametrize("alpha", [2, 3])
     def test_d3_still_fails(self, alpha):
-        with pytest.raises((ValueError, RuntimeWarning)):
+        with pytest.raises(ValueError, match=rf"^d3 of node 'A' overflows float64 at alpha={alpha} \(undirected\)$"):
             all_distinctiveness(heavy_weight_graphs()[0], alpha=alpha, metrics=("d3",))
 
 

@@ -284,11 +284,11 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{message}$"):
             correlation_sweep(PARAMS, ensemble_size=3, alphas=alphas, dc_metrics=dc_metrics)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_d3_fails_as_scored_alone(self):
         """d3's strength power overflows at alpha 300 on weights up to 20:
-        the sweep raises the error all_distinctiveness raises on that graph."""
-        with pytest.raises(ValueError, match="^non-finite score in d3 vector$"):
+        the sweep raises the error all_distinctiveness raises on that graph,
+        with no RuntimeWarning."""
+        with pytest.raises(ValueError, match=r"^d3 of node '0' overflows float64 at alpha=300 \(undirected\)$"):
             correlation_sweep(PARAMS, ensemble_size=_CHUNK + 1, alphas=(1.0, 300.0), seed=3)
 
     def test_matches_per_pair_reference(self):
