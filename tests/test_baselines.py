@@ -6,6 +6,7 @@ import pytest
 
 from dcmetrics import (
     BASELINES,
+    all_baselines,
     ConvergenceError,
     DisconnectedGraphError,
     GeneratorParams,
@@ -52,6 +53,18 @@ class TestToyTable:
     def test_directed_graph_rejected(self, toy_directed, metric):
         with pytest.raises(ValueError, match="undirected"):
             baseline(toy_directed, metric)
+
+
+    def test_unknown_baseline_rejected(self, toy):
+        with pytest.raises(ValueError, match=r"^unknown baseline 'pagerank', expected one of \('degree', "):
+            baseline(toy, "pagerank")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_all_baselines_in_order(self, toy, weighted):
+        vectors = all_baselines(toy, weighted)
+        assert list(vectors) == list(BASELINES)
+        for name, vec in vectors.items():
+            assert vec.values.tobytes() == baseline(toy, name, weighted).values.tobytes()
 
 
 class TestDegree:

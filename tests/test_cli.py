@@ -61,6 +61,29 @@ class TestCompute:
         assert (code, out) == (1, "")
         assert err == f"error: alpha {float(alphas.split(',')[0])!r} is given more than once\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--metrics", "d1,bogus"], "unknown metric 'bogus'; choose from d1, d2, d3, d4, d5, degree, closeness, "
+                                    "betweenness, eigenvector, constraint, effective-size, dc, baselines, all"),
+        (["--metrics", " , "], "no metrics requested"),
+        (["--alpha", "1,two"], "bad alpha list '1,two'"),
+        (["--alpha", ","], "alpha list is empty"),
+        (["--direction", "both"], "--direction both only applies to directed graphs"),
+    ])
+    def test_bad_arguments_are_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, "compute", "--dataset", "toy-undirected", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_direction_both_is_in_then_out(self, capsys):
+        def columns(direction):
+            code, out, err = run(capsys, "compute", "--dataset", "toy-directed", "--metrics", "dc",
+                                 "--direction", direction)
+            assert (code, err) == (0, "")
+            return [line.split(",") for line in out.splitlines()]
+
+        both, inward, outward = columns("both"), columns("in"), columns("out")
+        assert [row[:6] for row in both] == inward
+        assert [row[:1] + row[6:] for row in both] == outward
+
     def test_directed_defaults_to_both_directions(self, capsys):
         code, out, _ = run(capsys, "compute", "--dataset", "toy-directed", "--metrics", "d1")
         assert code == 0
@@ -119,6 +142,12 @@ class TestCompute:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("node,d1@1")
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "scores.csv"
+        code, out, err = run(capsys, "compute", "--dataset", "toy-undirected", "-o", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
 
     def test_gexf_input(self, capsys, tmp_path):
         gexf = tmp_path / "g.gexf"
@@ -225,6 +254,11 @@ class TestRank:
         assert lines[1] == "1,hub,200000"
         assert lines[2] == "50001,leaf0,2"
         assert lines[-2:] == ["100001.5,leaf99999,1", "100001.5,leaf100000,1"]
+
+
+    def test_one_metric_only(self, capsys):
+        code, out, err = run(capsys, "rank", "--dataset", "toy-undirected", "--metric", "d1,degree")
+        assert (code, out, err) == (1, "", "error: rank takes exactly one metric\n")
 
 
 class TestCompare:
@@ -340,6 +374,11 @@ class TestGenerateAndSweep:
         code, out, _ = run(capsys, "generate", "--n", "10", "--m-attach", "1")
         assert code == 0
         assert "seed=7" in out.splitlines()[0]
+
+    def test_seed_env_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("DISTINCT_SEED", "seven")
+        code, out, err = run(capsys, "generate", "--n", "10", "--m-attach", "1")
+        assert (code, out, err) == (1, "", "error: DISTINCT_SEED must be an integer, got 'seven'\n")
 
     def test_generate_then_compute_round_trip(self, capsys, tmp_path):
         path = tmp_path / "ba.tsv"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
@@ -8,6 +9,8 @@ import pytest
 
 from dcmetrics import (
     METRICS,
+    BoundsRecord,
+    CentralityVector,
     GeneratorParams,
     MetricSpec,
     all_distinctiveness,
@@ -64,6 +67,23 @@ class TestSpecValidation:
     def test_unknown_metric_rejected(self, toy):
         with pytest.raises(ValueError, match="unknown metric"):
             distinctiveness(toy, "d9")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MetricSpec("d1", direction="sideways"),
+         "unknown direction 'sideways', expected one of ('undirected', 'in', 'out')"),
+        (lambda: d1(build_graph([("A", "B", 1.0)]), direction="sideways"),
+         "unknown direction 'sideways', expected one of ('undirected', 'in', 'out')"),
+        (lambda: all_distinctiveness(build_graph([("A", "A", 1.0)])), "distinctiveness needs at least 2 nodes"),
+        (lambda: CentralityVector("d1", 1.0, "undirected", ("A", "B"), np.array([1.0])),
+         "one score per node required"),
+        (lambda: CentralityVector("d1", 1.0, "undirected", ("A", "B"), np.array([1.0, np.inf])),
+         "non-finite score in d1 vector"),
+        (lambda: BoundsRecord("d1", 1.0, 3, 1.0, 1.0, lower=2.0, upper=1.0),
+         "degenerate bounds for d1: lower 2.0 > upper 1.0"),
+    ])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_metric_spec_invariants(self):
         with pytest.raises(ValueError):
@@ -212,6 +232,11 @@ class TestInvariants:
             vec = distinctiveness(g, metric, alpha=2)
             assert vec["Z"] == 0.0
             assert vec.isolates == {"Z"}
+
+    def test_vector_as_dict_and_items(self, toy):
+        vec = d5(toy, alpha=2)
+        assert vec.as_dict() == dict(zip(toy.nodes, vec.values.tolist()))
+        assert list(vec.items()) == list(zip(toy.nodes, vec.values.tolist()))
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(8)

@@ -17,6 +17,10 @@ class TestBuild:
         prof = profile(toy)
         assert prof.strength_map()["B"] == 11
 
+    def test_unknown_label_lookup(self, toy):
+        with pytest.raises(KeyError, match="unknown node label: 'Z'"):
+            toy.index_of("Z")
+
     def test_symmetric_lookup(self, toy):
         assert toy.weight("A", "B") == toy.weight("B", "A") == 2.0
         assert toy.weight("A", "C") == 0.0
@@ -178,6 +182,10 @@ class TestValidate:
         g = build_graph([("A", "B", 1)], nodes=["Z"])
         report = validate(g)
         assert report.isolated_nodes == ("Z",)
+
+    def test_isolates_flag_names_them(self):
+        g = build_graph([("A", "B", 1), ("B", "C", 2)], nodes=["Z", "Y"])
+        assert validate(g).flags == ("graph is not connected", "isolated nodes: Y, Z")
 
     def test_no_edges_is_profile_error(self):
         g = build_graph([("A", "A", 1.0)])

@@ -496,6 +496,34 @@ class TestGexf:
             g = parse_gexf_minimal(text)
         assert g.n == 2
 
+    @pytest.mark.parametrize("old, new, messages", [
+        ('defaultedgetype="undirected"', 'defaultedgetype="mutual"',
+         ["defaultedgetype='mutual' not supported, treating as undirected"]),
+        ("<graph ", '<graph mode="dynamic" ', ["dynamic graph attributes ignored"]),
+        ('label="Alpha"/>', 'label="Alpha"><nodes/></node>', ["nested node hierarchies ignored"]),
+        # the <attvalues> element is also met as an element of the graph
+        ('label="Alpha"/>', 'label="Alpha"><attvalues/></node>',
+         ["attribute definitions ignored", "node attvalues ignored"]),
+        ('label="Alpha"/>', 'label="Alpha"><size/></node>', ["node child <size> ignored"]),
+        ('weight="3"', 'weight="3" start="2000"', ["dynamic edge spells ignored"]),
+        ('weight="3"', 'weight="3" type="directed"', ["per-edge type overrides ignored"]),
+    ])
+    def test_each_ignored_feature_warns(self, old, new, messages):
+        assert old in GEXF_MINIMAL
+        with pytest.warns(GexfFeatureWarning) as record:
+            g = parse_gexf_minimal(GEXF_MINIMAL.replace(old, new))
+        assert [str(w.message) for w in record] == messages
+        assert (g.nodes, g.directed, g.weight("a", "b")) == (("a", "b"), False, 3.0)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('<node id="a"', "<node", "<node> without id attribute"),
+        (' target="b"', "", "<edge> without source/target"),
+        ('weight="3"', 'weight="heavy"', "bad edge weight 'heavy'"),
+    ])
+    def test_malformed_element_rejected(self, old, new, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_gexf_minimal(GEXF_MINIMAL.replace(old, new))
+
     def test_isolated_gexf_node_kept(self):
         text = GEXF_MINIMAL.replace('<node id="b"', '<node id="c"/><node id="b"')
         g = parse_gexf_minimal(text)
@@ -548,6 +576,10 @@ class TestResultTable:
     def test_mixed_node_sets_rejected(self, toy, florentine):
         with pytest.raises(ValueError, match="share the node set"):
             ResultTable.from_vectors([d5(toy), d5(florentine)])
+
+    def test_no_vectors_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one vector$"):
+            ResultTable.from_vectors([])
 
     def test_six_significant_digits(self):
         g = build_graph([("A", "B", 1234567.0)])
