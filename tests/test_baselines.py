@@ -6,10 +6,10 @@ import pytest
 
 from dcmetrics import (
     BASELINES,
-    all_baselines,
     ConvergenceError,
     DisconnectedGraphError,
     GeneratorParams,
+    all_baselines,
     barabasi_albert,
     baseline,
     betweenness_centrality,
@@ -53,7 +53,6 @@ class TestToyTable:
     def test_directed_graph_rejected(self, toy_directed, metric):
         with pytest.raises(ValueError, match="undirected"):
             baseline(toy_directed, metric)
-
 
     def test_unknown_baseline_rejected(self, toy):
         with pytest.raises(ValueError, match=r"^unknown baseline 'pagerank', expected one of \('degree', "):
