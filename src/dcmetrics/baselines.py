@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .distinctiveness import CentralityVector
+from .distinctiveness import BASELINES, CentralityVector
 from .errors import ConvergenceError, DisconnectedGraphError
 from .graph import Graph, _entry_rows, _gather, is_connected, segment_sum
 
@@ -418,15 +418,8 @@ def effective_size(graph: Graph, weighted: bool = False) -> CentralityVector:
     return _vector(graph, "effective-size", weighted, values)
 
 
-_DISPATCH = {
-    "degree": degree_centrality,
-    "closeness": closeness_centrality,
-    "betweenness": betweenness_centrality,
-    "eigenvector": eigenvector_centrality,
-    "constraint": burt_constraint,
-    "effective-size": effective_size,
-}
-BASELINES = tuple(_DISPATCH)
+_DISPATCH = dict(zip(BASELINES, (degree_centrality, closeness_centrality, betweenness_centrality,
+                                 eigenvector_centrality, burt_constraint, effective_size), strict=True))
 
 
 def baseline(graph: Graph, metric: str, weighted: bool = False) -> CentralityVector:

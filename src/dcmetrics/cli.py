@@ -14,27 +14,49 @@ import os
 import re
 import sys
 from collections.abc import Iterable
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import BASELINES, baseline
-from .datasets import DATASET_NAMES, builtin_dataset
 from .distinctiveness import (
+    BASELINES,
     DIRECTIONS,
     METRICS,
+    TIE_RULES,
     CentralityVector,
     all_distinctiveness,
     bounds,
     normalize,
 )
 from .errors import DCMetricsError
-from .generators import GeneratorParams, barabasi_albert
 from .graph import Graph, profile
 from .io import ResultTable, parse_edge_list, parse_gexf_minimal, write_edge_list
-from .stats import TIE_RULES, _ranked, _rho_matrix, correlation_sweep, rank, spearman
-from .svgchart import render_line_chart
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``dcmetrics.<module>.<name>`` that imports the module
+    on its first call and looks the name up at every call."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    return call
+
+
+# the names only some commands call, so that a command loads only the modules
+# it uses; perfbench/tracer.py wraps several of them by their name here
+baseline = _deferred("baselines", "baseline")
+builtin_dataset = _deferred("datasets", "builtin_dataset")
+GeneratorParams = _deferred("generators", "GeneratorParams")
+barabasi_albert = _deferred("generators", "barabasi_albert")
+correlation_sweep = _deferred("stats", "correlation_sweep")
+rank = _deferred("stats", "rank")
+spearman = _deferred("stats", "spearman")
+_ranked = _deferred("stats", "_ranked")
+_rho_matrix = _deferred("stats", "_rho_matrix")
+render_line_chart = _deferred("svgchart", "render_line_chart")
 
 
 def _default_seed(value: int | None) -> int:
@@ -263,6 +285,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_datasets(args) -> int:
+    from .datasets import DATASET_NAMES
+
     if args.export_dir:
         directory = Path(args.export_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -282,6 +306,8 @@ def _cmd_datasets(args) -> int:
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
+    from .datasets import DATASET_NAMES
+
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="edge-list or GEXF file")
     src.add_argument("--dataset", choices=DATASET_NAMES, help="built-in dataset")

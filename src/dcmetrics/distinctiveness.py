@@ -27,6 +27,10 @@ from .graph import Graph, _entry_rows, segment_sum
 
 METRICS = ("d1", "d2", "d3", "d4", "d5")
 DIRECTIONS = ("undirected", "in", "out")
+# the names the CLI parses: declared here, which every command loads, and
+# exported by ``baselines`` and ``stats``, which only some commands load
+BASELINES = ("degree", "closeness", "betweenness", "eigenvector", "constraint", "effective-size")
+TIE_RULES = ("competition", "average")
 
 __all__ = [
     "METRICS",
@@ -217,7 +221,8 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
         penalty[over] = math.log10(n - 1) - alpha * np.log10(deg_f[over])
         per_edge = penalty[indices]
         if "d1" in metrics:
-            out["d1"] = row_sums(weights * per_edge)
+            with np.errstate(over="ignore"):  # an overflowing product fails d1 in all_distinctiveness
+                out["d1"] = row_sums(weights * per_edge)
         if "d2" in metrics:
             out["d2"] = row_sums(per_edge)
         del per_edge

@@ -138,9 +138,14 @@ class Graph:
         return zip(map(label, src.tolist()), map(label, dst.tolist()), w.tolist())
 
     def total_weight(self) -> float:
-        """Sum of arc weights; undirected edges are counted once."""
-        s = float(self.weights.sum())
-        return s if self.directed else s / 2.0
+        """Sum of arc weights; undirected edges are counted once. Where the
+        stored entries, two per undirected edge, sum past the float limit,
+        their halves are summed, so a total below it stays finite."""
+        with np.errstate(over="ignore"):  # positive weights: an overflow gives inf, never nan
+            s = float(self.weights.sum())
+            if self.directed:
+                return s
+            return s / 2.0 if np.isfinite(s) else float((self.weights / 2.0).sum())
 
 
 @dataclass(frozen=True, eq=False)

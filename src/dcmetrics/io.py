@@ -36,11 +36,9 @@ line numbers are the loop's.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import warnings
-import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -60,7 +58,6 @@ __all__ = [
 
 
 _BARE_CR = re.compile(r"\r(?!\n)")
-_quote = json.encoder.encode_basestring_ascii  # the string encoder of json.dumps
 _BLOCK_ROWS = 8192  # table rows (JSON: list items) per block of text; 0.4 MB of CSV at five columns
 # a label the reader cannot give back (re's \s is str.isspace)
 _UNWRITABLE = re.compile(r"[\t\n\r]|\A[#\s]|\s\Z")
@@ -182,6 +179,8 @@ def parse_gexf_minimal(text: str) -> Graph:
     defaultedgetype. Dynamics, hierarchy, attributes, and visual styling are
     ignored with a GexfFeatureWarning each. Node identity is the node id.
     """
+    import xml.etree.ElementTree as ET  # here, so that commands reading no GEXF never load it
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -311,12 +310,15 @@ class ResultTable:
         columns with ``indent=2``. Labels and names are quoted by the
         encoder json uses, values written by ``float.__repr__``, non-finite
         ones as NaN, Infinity and -Infinity."""
+        # the string encoder of json.dumps, imported here so that CSV output never loads json
+        from json.encoder import encode_basestring_ascii as quote
+
         labels = self.labels
         yield '{\n  "nodes": '
-        yield from _json_array((list(map(_quote, labels[part])) for part in _blocks(len(labels))), 4)
+        yield from _json_array((list(map(quote, labels[part])) for part in _blocks(len(labels))), 4)
         yield ',\n  "columns": ' + ("[" if self.columns else "[]")
         for k, (name, vals) in enumerate(self.columns):
-            yield (",\n" if k else "\n") + '    {\n      "name": ' + _quote(name) + ',\n      "values": '
+            yield (",\n" if k else "\n") + '    {\n      "name": ' + quote(name) + ',\n      "values": '
             vals = np.asarray(vals, dtype=np.float64)
             yield from _json_array((_json_floats(vals[part]) for part in _blocks(vals.size)), 8)
             yield "\n    }"

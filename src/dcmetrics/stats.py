@@ -17,7 +17,7 @@ import numpy as np
 # perfbench/tracer.py wraps stats.all_distinctiveness, stats.baseline,
 # stats.barabasi_albert and stats.spearman by name: keep them
 from .baselines import _hop_paths, _power_stack, baseline
-from .distinctiveness import METRICS, CentralityVector, MetricSpec, _scores, all_distinctiveness
+from .distinctiveness import METRICS, TIE_RULES, CentralityVector, MetricSpec, _scores, all_distinctiveness
 from .generators import GeneratorParams, barabasi_albert
 from .graph import Graph
 
@@ -30,8 +30,6 @@ __all__ = [
     "spearman",
     "correlation_sweep",
 ]
-
-TIE_RULES = ("competition", "average")
 
 # baseline suite used by the sweep, matching the published comparison set:
 # plain degree plus the weighted strength-based metrics; the path-based

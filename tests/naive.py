@@ -215,7 +215,9 @@ def naive_degree_distinctiveness(graph, alpha, direction=None, relaxed_alpha=Fal
         np.log10(per_edge, out=per_edge)
         per_edge[over] = math.log10(n - 1) - alpha * np.log10(deg_f[indices[over]])
         if "d1" in metrics:
-            out["d1"] = vector("d1", weights * per_edge)
+            with np.errstate(over="ignore"):  # an overflowing product is the named error below
+                product = weights * per_edge
+            out["d1"] = vector("d1", product)
         if "d2" in metrics:
             out["d2"] = vector("d2", per_edge)
     if "d5" in metrics:

@@ -55,6 +55,18 @@ class TestCompute:
         assert out == ("node,d4@1,d4@2,d4@3\nA,1e+200,1e+200,1e+200\nB,1e+200,1e+200,1e+200\n"
                        "C,2,2,2\nD,1.33333,1.6,1.77778\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edges, argv, message", [
+        ("A\tB\t1.7e308\nB\tC\t1\nC\tD\t1\n", ["--metrics", "d3"],
+         "error: d3 of node 'A' overflows float64 at alpha=1 (undirected)\n"),
+        ("".join(f"H\tL{i}\t1e308\n" for i in range(19)), ["--metrics", "d1", "--alpha", "400"],
+         "error: d1 of node 'H' overflows float64 at alpha=400 (undirected)\n"),
+    ], ids=["d3-total", "d1-product"])
+    def test_overflow_is_one_named_error(self, capsys, tmp_path, edges, argv, message):
+        path = tmp_path / "heavy.tsv"
+        path.write_text(edges)
+        assert run(capsys, "compute", "--input", str(path), *argv) == (1, "", message)
+
     @pytest.mark.parametrize("alphas", ["1,1", "2,2.0", "1,2,1"])
     def test_refuses_repeated_alpha(self, capsys, alphas):
         code, out, err = run(capsys, "compute", "--dataset", "toy-undirected", "--metrics", "d1", "--alpha", alphas)

@@ -307,6 +307,11 @@ class TestDegreePowerOverflow:
             assert scores[metric]["leaf0"] == pytest.approx(3.0 - 3.0 * alpha, rel=1e-12)
             assert scores[metric]["hub"] == 3000.0
 
+    def test_d1_weight_product_fails_by_name(self):
+        # the hub's 19 terms of 1.28e308 sum past the float limit; each leaf's one term, -510 x 1e308, is past it
+        with pytest.raises(ValueError, match=r"^d1 of node 'hub' overflows float64 at alpha=400 \(undirected\)$"):
+            all_distinctiveness(star(20, weight=1e308), alpha=400, metrics=("d1",))
+
     @pytest.mark.parametrize("name", ["florentine", "zachary", "star"])
     @pytest.mark.parametrize("alpha", [1, 2.5, 100, 110, 240, 400, 1000])
     def test_against_decimal_logs(self, name, alpha):
@@ -376,6 +381,12 @@ class TestWeightPowerOverflow:
                         label, direction, got[label], want[label]
                     )
 
+    def test_d3_fails_by_name_past_a_finite_total(self):
+        # the total weight is finite though the stored entries sum past the float limit
+        g = build_graph([("A", "B", 1.7e308), ("B", "C", 1.0), ("C", "D", 1.0)])
+        with pytest.raises(ValueError, match=r"^d3 of node 'A' overflows float64 at alpha=1 \(undirected\)$"):
+            all_distinctiveness(g, metrics=("d3",))
+
     @pytest.mark.parametrize("alpha", [2, 3])
     def test_d3_still_fails(self, alpha):
         with pytest.raises(ValueError, match=rf"^d3 of node 'A' overflows float64 at alpha={alpha} \(undirected\)$"):
@@ -404,7 +415,7 @@ def degree_term_corpus():
 def scored_or_raised(kernel, *args, **kwargs):
     try:
         vectors = kernel(*args, **kwargs)
-    except (ValueError, RuntimeWarning) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
     return {m: (v.values.tobytes(), v.isolates) for m, v in vectors.items()}
 

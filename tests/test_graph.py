@@ -84,6 +84,13 @@ class TestProfile:
         assert prof.max_weight == 5.0
         assert prof.total_weight == 21.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_total_weight_past_the_stored_sum_limit(self):
+        # the heavy edge's two stored entries sum past the float limit, the edges do not
+        assert build_graph([("A", "B", 1.7e308), ("B", "C", 1.0), ("C", "D", 1.0)]).total_weight() == 1.7e308 + 2.0
+        assert build_graph([("A", "B", 1.7e308), ("B", "C", 1.7e308)]).total_weight() == np.inf
+        assert build_graph([("A", "B", 1.7e308), ("B", "A", 1.7e308)], directed=True).total_weight() == np.inf
+
     def test_directed_toy(self, toy_directed):
         prof = profile(toy_directed)
         i = toy_directed.index_of("B")
