@@ -10,6 +10,7 @@ header so results can be regenerated exactly.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .distinctiveness import (
     BASELINES,
+    DATASET_NAMES,
     DIRECTIONS,
     METRICS,
     TIE_RULES,
@@ -285,8 +287,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_datasets(args) -> int:
-    from .datasets import DATASET_NAMES
-
     if args.export_dir:
         directory = Path(args.export_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -306,22 +306,12 @@ def _cmd_datasets(args) -> int:
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    from .datasets import DATASET_NAMES
-
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="edge-list or GEXF file")
     src.add_argument("--dataset", choices=DATASET_NAMES, help="built-in dataset")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dcmetrics",
-        description="Distinctiveness centrality metrics, bounds, baselines, and ensemble analysis.",
-    )
-    parser.add_argument("--version", action="version", version=f"dcmetrics {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="score nodes with DC metrics and/or baselines")
+def _compute_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--metrics", default="dc", help="comma list of d1..d5, baseline names, dc, baselines, all")
     p.add_argument("--alpha", default="1", help="comma list of alpha values")
@@ -331,17 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxed-alpha", action="store_true", help="allow 0 < alpha < 1")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("bounds", help="analytic lower/upper bounds for a metric")
+
+def _bounds_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", required=True, choices=METRICS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--min-weight", type=float, default=1.0)
     p.add_argument("--max-weight", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("rank", help="rank nodes under one metric")
+
+def _rank_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -349,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-rule", default="competition", choices=TIE_RULES)
     p.add_argument("--weighted", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("compare", help="Spearman correlation matrix of metrics (or of two graphs)")
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--input2", help="second edge-list or GEXF file (single-metric two-graph mode)")
     p.add_argument("--metrics", default="dc")
@@ -359,18 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", default="auto", choices=("auto", *DIRECTIONS))
     p.add_argument("--weighted", action="store_true")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("generate", help="seeded Barabasi-Albert graph as an edge list")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--m-attach", required=True, type=int)
     p.add_argument("--weight-low", type=int, default=1)
     p.add_argument("--weight-high", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("sweep", help="mean DC/baseline correlation across a BA ensemble, per alpha")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--m-attach", type=int, default=2)
     p.add_argument("--weight-low", type=int, default=1)
@@ -380,17 +370,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--svg", help="also render the sweep as an SVG line chart")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("datasets", help="list or export the built-in datasets")
+
+def _datasets_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--export-dir", help="write each dataset as an edge-list file into this directory")
-    p.set_defaults(func=_cmd_datasets)
 
+
+# name, help, argument adder and handler of each subcommand, in --help order
+_COMMANDS = (
+    ("compute", "score nodes with DC metrics and/or baselines", _compute_arguments, _cmd_compute),
+    ("bounds", "analytic lower/upper bounds for a metric", _bounds_arguments, _cmd_bounds),
+    ("rank", "rank nodes under one metric", _rank_arguments, _cmd_rank),
+    ("compare", "Spearman correlation matrix of metrics (or of two graphs)", _compare_arguments, _cmd_compare),
+    ("generate", "seeded Barabasi-Albert graph as an edge list", _generate_arguments, _cmd_generate),
+    ("sweep", "mean DC/baseline correlation across a BA ensemble, per alpha", _sweep_arguments, _cmd_sweep),
+    ("datasets", "list or export the built-in datasets", _datasets_arguments, _cmd_datasets),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``. Every subcommand is registered by name and
+    help, but only the one ``argv`` names gets its arguments: the first
+    token not starting with "-", since the top level's options take no
+    value. Where ``argv`` names none (or is None), every subcommand gets
+    them."""
+    command = next((token for token in argv or () if not token.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="dcmetrics",
+        description="Distinctiveness centrality metrics, bounds, baselines, and ensemble analysis.",
+    )
+    parser.add_argument("--version", action="version", version=f"dcmetrics {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, summary, add_arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -406,7 +427,13 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    # the objects left are freed by reference count at exit; frozen, they are
+    # not walked again by the shutdown's collections. The development mode
+    # keeps the full shutdown, and with it the warnings about unclosed files
+    if not sys.flags.dev_mode:
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ the published per-node scores, so any accidental edit trips immediately.
 
 from __future__ import annotations
 
+from .distinctiveness import DATASET_NAMES
 from .graph import Graph, build_graph
 
 __all__ = ["DATASET_NAMES", "builtin_dataset", "dataset_edges"]
@@ -78,13 +79,12 @@ _ZACHARY = [
 ]
 
 # name -> (edges, directed, node order: [] for first appearance)
-_DATASETS = {
-    "toy-undirected": (_TOY_UNDIRECTED, False, []),
-    "toy-directed": (_TOY_DIRECTED, True, []),
-    "florentine": (_FLORENTINE, False, []),
-    "zachary": ([(str(u), str(v), float(w)) for u, v, w in _ZACHARY], False, [str(i) for i in range(34)]),
-}
-DATASET_NAMES = tuple(_DATASETS)
+_DATASETS = dict(zip(DATASET_NAMES, (
+    (_TOY_UNDIRECTED, False, []),
+    (_TOY_DIRECTED, True, []),
+    (_FLORENTINE, False, []),
+    ([(str(u), str(v), float(w)) for u, v, w in _ZACHARY], False, [str(i) for i in range(34)]),
+), strict=True))
 
 
 def dataset_edges(name: str) -> tuple[list[tuple[str, str, float]], bool, list[str]]:

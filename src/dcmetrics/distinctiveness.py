@@ -28,9 +28,10 @@ from .graph import Graph, _entry_rows, segment_sum
 METRICS = ("d1", "d2", "d3", "d4", "d5")
 DIRECTIONS = ("undirected", "in", "out")
 # the names the CLI parses: declared here, which every command loads, and
-# exported by ``baselines`` and ``stats``, which only some commands load
+# exported by ``baselines``, ``stats`` and ``datasets``, which only some commands load
 BASELINES = ("degree", "closeness", "betweenness", "eigenvector", "constraint", "effective-size")
 TIE_RULES = ("competition", "average")
+DATASET_NAMES = ("toy-undirected", "toy-directed", "florentine", "zachary")
 
 __all__ = [
     "METRICS",
@@ -243,12 +244,17 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
             out["d3"] = row_sums(per_edge)
             del per_edge
         if "d4" in metrics:
+            tiny = np.finfo(np.float64).tiny
             with np.errstate(over="ignore", invalid="ignore"):
                 per_edge = np.power(weights, alpha + 1.0)
+                low = per_edge < tiny  # a power that lost bits below the normal range, or fell to 0
                 per_edge /= s_alpha[indices]
-            # the ratio is inf or nan past an overflowing power, and 0 past an inf strength
-            if not (np.isfinite(per_edge).all() and np.isfinite(s_alpha).all()):
-                past = np.flatnonzero(~np.isfinite(per_edge) | np.isinf(s_alpha)[indices])
+            # the ratio is inf or nan past an overflowing power or a strength that fell to 0, and
+            # 0 past an inf strength; a subnormal strength has lost bits (a node whose row is
+            # empty has strength 0 and is no entry's neighbor)
+            strength_off = np.isinf(s_alpha) | ((s_alpha > 0) & (s_alpha < tiny))
+            if low.any() or strength_off.any() or not np.isfinite(per_edge).all():
+                past = np.flatnonzero(low | ~np.isfinite(per_edge) | strength_off[indices])
                 per_edge[past] = _d4_rescaled(weights[past], indices[past], s_indptr, s_rows, s_weights, alpha)
             out["d4"] = row_sums(per_edge)
             del per_edge
@@ -263,9 +269,10 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
 
 def _d4_rescaled(w, nbr, s_indptr, s_rows, s_weights, alpha: float) -> np.ndarray:
     """d4's terms ``w**(alpha+1) / sum_k w_jk**alpha`` where the float powers
-    overflow, as ``w (w/M_j)**alpha / sum_k (w_jk/M_j)**alpha`` with M_j the
-    largest weight in the row of the neighbor j: the sum lies in [1, degree]
-    and the term is at most w. Where ``(w/M_j)**alpha`` falls below the
+    overflow or fall below the normal range, as
+    ``w (w/M_j)**alpha / sum_k (w_jk/M_j)**alpha`` with M_j the largest
+    weight in the row of the neighbor j: the sum lies in [1, degree] and
+    the term is at most w. Where ``(w/M_j)**alpha`` falls below the
     normal range, the term is taken through base-2 logs instead."""
     s_rows = _entry_rows(s_indptr) if s_rows is None else s_rows
     top = np.zeros(s_indptr.size - 1)

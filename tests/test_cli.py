@@ -1,9 +1,25 @@
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dcmetrics import BASELINES, METRICS, all_distinctiveness, baseline, build_graph, builtin_dataset, rank
+from dcmetrics import (
+    BASELINES,
+    METRICS,
+    GeneratorParams,
+    all_distinctiveness,
+    barabasi_albert,
+    baseline,
+    build_graph,
+    builtin_dataset,
+    rank,
+    write_edge_list,
+)
 from dcmetrics import cli, io
 from dcmetrics.cli import run_cli
 from naive import naive_compare_csv, naive_rank_csv
@@ -544,3 +560,99 @@ class TestStreamedOutput:
     ])
     def test_first_line_sniff_matches_lstrip(self, text):
         assert re.match(cli._FIRST_LINE, text)[1] == text.lstrip().partition("\n")[0]
+
+
+def parsed(capsys, parser, argv):
+    """Exit code (None when the parse went through), stdout and stderr of
+    one parse."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMANDS = [name for name, *_ in cli._COMMANDS]
+
+
+class TestOneCommandParser:
+    """``build_parser(argv)`` adds arguments to the command ``argv`` names
+    only, and parses, helps and fails byte for byte as the parser of every
+    command does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], [],
+        *([name, "--help"] for name in COMMANDS),
+        ["nonsense"], ["nonsense", "--input", "x"], ["compute", "--bogus"], ["compute", "--dataset", "karate"],
+        ["--bogus", "sweep"], ["--", "bounds", "--metric", "d1", "--n", "5"],
+    ])
+    def test_same_bytes_as_the_full_parser(self, capsys, argv):
+        assert parsed(capsys, cli.build_parser(argv), argv) == parsed(capsys, cli.build_parser(), argv)
+
+    @pytest.mark.parametrize("argv", [["compute", "--input", "x.tsv"], ["-h"], ["sweep", "-h"]])
+    def test_arguments_only_for_the_named_command(self, argv):
+        (subparsers,) = [a for a in cli.build_parser(argv)._actions if a.dest == "command"]
+        built = [name for name, p in subparsers.choices.items() if len(p._actions) > 1]  # beyond -h
+        assert built == ([argv[0]] if argv[0] in COMMANDS else COMMANDS)
+        assert list(subparsers.choices) == COMMANDS
+
+    def test_dataset_choices(self, capsys):
+        code, _, err = parsed(capsys, cli.build_parser(), ["rank", "--dataset", "karate", "--metric", "d1"])
+        assert code == 2
+        assert "(choose from 'toy-undirected', 'toy-directed', 'florentine', 'zachary')" in err
+
+
+def spawned(*argv, dev=False):
+    """Exit code, stdout and stderr of ``python -m dcmetrics.cli`` in a fresh
+    interpreter that finds this package where the tests found it, through
+    pipes; ``dev`` runs it under ``-X dev``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, *(["-X", "dev"] if dev else []), "-m", "dcmetrics.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestMain:
+    """``cli.main``, the process entry point: every exit code prints what
+    the full shutdown of the development mode prints."""
+
+    def test_compute_through_a_pipe(self, capsys, tmp_path):
+        path = tmp_path / "ba.tsv"
+        path.write_text(write_edge_list(barabasi_albert(GeneratorParams(n=3000, m_attach=2, weight_high=9))))
+        assert run_cli(["compute", "--input", str(path)]) == 0
+        expected = capsys.readouterr().out.encode()
+        assert len(expected) > 1 << 16  # more than a pipe holds
+        assert spawned("compute", "--input", str(path)) == (0, expected, b"")
+        assert spawned("compute", "--input", str(path), dev=True) == (0, expected, b"")
+
+    def test_data_error_is_exit_1(self, tmp_path):
+        path = tmp_path / "heavy.tsv"
+        path.write_text("A\tB\t1e200\nB\tC\t1\nC\tD\t2\n")
+        argv = ["compute", "--input", str(path), "--metrics", "d3", "--alpha", "2"]
+        error = b"error: d3 of node 'A' overflows float64 at alpha=2 (undirected)\n"
+        assert spawned(*argv) == spawned(*argv, dev=True) == (1, b"", error)
+
+    def test_unknown_option_is_exit_2(self):
+        argv = ["compute", "--dataset", "zachary", "--bogus"]
+        code, out, err = spawned(*argv)
+        assert (code, out) == (2, b"")
+        assert err.endswith(b"dcmetrics: error: unrecognized arguments: --bogus\n")
+        assert spawned(*argv, dev=True) == (code, out, err)
+
+    def test_freezes_only_outside_the_development_mode(self):
+        script = ("import atexit, gc, sys\n"
+                  "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                  "sys.argv = ['dcmetrics', 'bounds', '--metric', 'd5', '--n', '10']\n"
+                  "from dcmetrics.cli import main\n"
+                  "main()\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for flags, frozen in (([], b"True"), (["-X", "dev"], b"False")):
+            done = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, env=env, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr.strip()) == (0, b"lower=0.111111 upper=9\n", frozen)
+
+    def test_run_cli_leaves_the_collector_alone(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run_cli(["bounds", "--metric", "d5", "--n", "10"]) == 0
+        assert gc.get_freeze_count() == frozen and gc.isenabled()

@@ -352,6 +352,8 @@ def heavy_weight_graphs():
         build_graph([("a", "b", 1e250), ("b", "c", 1e300), ("b", "d", 1e-3), ("c", "d", 1e150), ("d", "e", 1.0)]),
         # every strength but z's overflows at alpha=1, and z's d4 is 1e20/2e308
         build_graph([("h", "x", 1e308), ("h", "y", 1e308), ("x", "y", 1e308), ("h", "z", 1e10)]),
+        # at alpha=1, 1e-170**2 is 0.0 and 1e-160**2 subnormal; at alpha=2 the strength of C is subnormal
+        build_graph([("A", "B", 1e-170), ("B", "C", 1e-160)]),
     ]
     for directed in (False, True):
         g = random_graph(rng, 12, directed=directed, density=0.3)
@@ -362,9 +364,9 @@ def heavy_weight_graphs():
 
 @pytest.mark.filterwarnings("error")
 class TestWeightPowerOverflow:
-    """d4 where w**(alpha+1) or the neighbor's alpha-strength overflows: those
-    terms are rescaled by the largest weight of the neighbor's row, without
-    a RuntimeWarning."""
+    """d4 where w**(alpha+1) or the neighbor's alpha-strength overflows, or
+    falls below the normal range: those terms are rescaled by the largest
+    weight of the neighbor's row, without a RuntimeWarning."""
 
     def test_heavy_path(self):
         scores = all_distinctiveness(heavy_weight_graphs()[0], alpha=1, metrics=("d4",))["d4"]

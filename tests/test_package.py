@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dcmetrics
-from dcmetrics import baselines, stats
+from dcmetrics import baselines, datasets, stats
 
 MODULES = ("baselines", "datasets", "distinctiveness", "errors", "generators", "graph", "io", "stats", "svgchart")
 
@@ -65,7 +65,7 @@ def test_distinctiveness_is_the_dispatcher():
 CORE = {"numpy", "dcmetrics.errors", "dcmetrics.graph", "dcmetrics.distinctiveness", "dcmetrics.io"}
 # what such a command never runs, loaded by the first command that does
 DEFERRED = {"dcmetrics.baselines", "dcmetrics.stats", "dcmetrics.generators", "dcmetrics.svgchart",
-            "xml.etree", "json"}
+            "dcmetrics.datasets", "xml.etree", "json"}
 FLORENTINE = Path(__file__).resolve().parents[1] / "data" / "florentine.tsv"
 
 
@@ -86,13 +86,19 @@ class TestStartup:
     def test_cli_import_loads_the_core_only(self):
         loaded = modules_after("import dcmetrics.cli")
         assert CORE <= loaded
-        assert not loaded & (DEFERRED | {"dcmetrics.bytereader", "dcmetrics.datasets"})
+        assert not loaded & (DEFERRED | {"dcmetrics.bytereader"})
 
     def test_file_compute_loads_no_other_command_module(self):
         script = f"from dcmetrics.cli import run_cli\nrun_cli(['compute', '--input', {str(FLORENTINE)!r}])"
         loaded = modules_after(script)
         assert CORE | {"dcmetrics.bytereader"} <= loaded
         assert not loaded & DEFERRED
+
+    def test_sweep_loads_no_dataset_table(self):
+        script = "from dcmetrics.cli import run_cli\nrun_cli(['sweep', '--n', '12', '--ensemble', '2', '--alphas', '1'])"
+        loaded = modules_after(script)
+        assert {"dcmetrics.generators", "dcmetrics.stats"} <= loaded
+        assert "dcmetrics.datasets" not in loaded
 
     def test_distinctiveness_is_the_dispatcher_after_cli_import(self):
         script = "import sys, dcmetrics.cli\nprint(type(dcmetrics.distinctiveness).__name__, file=sys.stderr)"
@@ -104,14 +110,19 @@ class TestStartup:
 
 
 def test_name_lists_are_declared_once():
-    """The CLI parses baseline names and tie rules without loading
-    ``baselines`` or ``stats``: both lists live in ``distinctiveness``, and
-    the modules that export them export those objects."""
+    """The CLI parses baseline names, tie rules and dataset names without
+    loading ``baselines``, ``stats`` or ``datasets``: the lists live in
+    ``distinctiveness``, and the modules that export them export those
+    objects."""
     distinctiveness = importlib.import_module("dcmetrics.distinctiveness")
-    assert "BASELINES" not in distinctiveness.__all__ and "TIE_RULES" not in distinctiveness.__all__
+    assert {"BASELINES", "TIE_RULES", "DATASET_NAMES"}.isdisjoint(distinctiveness.__all__)
     assert baselines.BASELINES is distinctiveness.BASELINES is dcmetrics.BASELINES
     assert stats.TIE_RULES is distinctiveness.TIE_RULES is dcmetrics.TIE_RULES
+    assert datasets.DATASET_NAMES is distinctiveness.DATASET_NAMES is dcmetrics.DATASET_NAMES
     assert tuple(baselines._DISPATCH) == baselines.BASELINES
+    assert tuple(datasets._DATASETS) == datasets.DATASET_NAMES == ("toy-undirected", "toy-directed", "florentine",
+                                                                   "zachary")
+    assert datasets.__all__ == ["DATASET_NAMES", "builtin_dataset", "dataset_edges"]
     vector = dcmetrics.d2(dcmetrics.builtin_dataset("toy-undirected"))
     for rule in stats.TIE_RULES:
         assert stats.rank(vector, tie_rule=rule).tie_rule == rule
