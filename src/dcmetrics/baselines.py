@@ -130,7 +130,8 @@ def _bfs(graph: Graph, lo: int, hi: int):
     pos[cells] = np.arange(cells.size)
     levels = []
     while cells.size:
-        sizes, targets = _gather(graph.indptr, graph.indices, nodes)
+        sizes, at = _gather(graph.indptr, nodes)
+        targets = graph.indices[at]
         tails = np.repeat(np.arange(nodes.size), sizes)
         heads = np.repeat(cells - nodes, sizes)
         heads += targets
@@ -320,7 +321,7 @@ def _power_stack(graph: Graph, k: int, weights: np.ndarray, tol: float = 1e-10, 
     result, pending, error = np.empty_like(x), list(range(k)), None  # pending: neither stopped nor failed
     with np.errstate(over="ignore", invalid="ignore"):  # y >= x > 0: an overflow makes a row's norm inf, the row nan
         for iteration in range(1, max_iter + 1):
-            y = np.bincount(rows, weights=weights * x.ravel()[graph.indices], minlength=k * n).reshape(k, 1, n) + x
+            y = segment_sum(weights * x.ravel()[graph.indices], graph.indptr, rows).reshape(k, 1, n) + x
             norm = np.sqrt(np.matmul(y, y.transpose(0, 2, 1)))
             norms = norm.ravel().tolist()
             for g in [g for g in pending if norms[g] == math.inf][:1]:  # the graphs from g on no longer count
@@ -359,9 +360,8 @@ def _triangles(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     parts, lo = [(np.zeros(0, dtype=np.int64),) * 3], 0
     while lo < indices.size:
         hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _BLOCK_CELLS, "right")) - 1)
-        sizes = degree[walk[lo:hi]]
+        sizes, walked = _gather(indptr, walk[lo:hi])
         e = np.repeat(np.arange(lo, hi), sizes)
-        walked = np.repeat(indptr[walk[lo:hi]] - starts[lo:hi] + starts[lo], sizes) + np.arange(e.size)
         look = other[e] * n + indices[walked]
         found = np.minimum(np.searchsorted(keys, look), keys.size - 1)
         hit = keys[found] == look

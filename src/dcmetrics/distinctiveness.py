@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _entry_rows, segment_sum
+from .graph import Graph, _entry_rows, _gather, segment_sum
 
 METRICS = ("d1", "d2", "d3", "d4", "d5")
 DIRECTIONS = ("undirected", "in", "out")
@@ -229,9 +229,8 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
         del per_edge
 
     if "d3" in metrics or "d4" in metrics:
-        s_rows = rows if s_indptr is indptr else None
         with np.errstate(over="ignore"):  # an inf strength fails d3 below and is rescaled for d4
-            s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, s_rows)
+            s_alpha = segment_sum(np.power(s_weights, alpha), s_indptr, rows if s_indptr is indptr else None)
         if "d3" in metrics:
             per_edge = s_alpha[indices]
             # past an overflowing power the score is not finite, which all_distinctiveness reports
@@ -255,7 +254,7 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
             strength_off = np.isinf(s_alpha) | ((s_alpha > 0) & (s_alpha < tiny))
             if low.any() or strength_off.any() or not np.isfinite(per_edge).all():
                 past = np.flatnonzero(low | ~np.isfinite(per_edge) | strength_off[indices])
-                per_edge[past] = _d4_rescaled(weights[past], indices[past], s_indptr, s_rows, s_weights, alpha)
+                per_edge[past] = _d4_rescaled(weights[past], indices[past], s_indptr, s_weights, alpha)
             out["d4"] = row_sums(per_edge)
             del per_edge
 
@@ -267,18 +266,23 @@ def _scores(graph: Graph, alpha: float, direction: str, metrics: tuple[str, ...]
     return out
 
 
-def _d4_rescaled(w, nbr, s_indptr, s_rows, s_weights, alpha: float) -> np.ndarray:
+def _d4_rescaled(w, nbr, s_indptr, s_weights, alpha: float) -> np.ndarray:
     """d4's terms ``w**(alpha+1) / sum_k w_jk**alpha`` where the float powers
     overflow or fall below the normal range, as
     ``w (w/M_j)**alpha / sum_k (w_jk/M_j)**alpha`` with M_j the largest
     weight in the row of the neighbor j: the sum lies in [1, degree] and
     the term is at most w. Where ``(w/M_j)**alpha`` falls below the
-    normal range, the term is taken through base-2 logs instead."""
-    s_rows = _entry_rows(s_indptr) if s_rows is None else s_rows
-    top = np.zeros(s_indptr.size - 1)
-    np.maximum.at(top, s_rows, s_weights)
+    normal range, the term is taken through base-2 logs instead. Only the
+    rows of the distinct neighbors in ``nbr`` are read, each summed in
+    storage order as ``segment_sum`` sums the whole adjacency."""
+    nbrs, nbr = np.unique(nbr, return_inverse=True)
+    sizes, at = _gather(s_indptr, nbrs)
+    row_weights = s_weights[at]
+    ptr = np.concatenate(([0], np.cumsum(sizes)))
+    rows = _entry_rows(ptr)
+    top = np.maximum.reduceat(row_weights, ptr[:-1])  # no row is empty: j's row holds its entry back
     with np.errstate(under="ignore", divide="ignore"):  # log2 of a ratio that underflowed to 0
-        scaled = segment_sum(np.power(s_weights / top[s_rows], alpha), s_indptr, s_rows)[nbr]
+        scaled = segment_sum(np.power(row_weights / top[rows], alpha), ptr, rows)[nbr]
         ratio = w / top[nbr]
         power = np.power(ratio, alpha)
         terms = w * power / scaled

@@ -7,14 +7,13 @@ arrays; node labels are the only identity exposed to callers. Every graph
 has an out- and an in-adjacency; on an undirected graph they are the same
 arrays, so code reads either side without asking for the direction.
 
-Every graph is built by one array pass, ``csr_from_arrays``: integer
-endpoint and weight arrays in, CSR out, with no per-edge Python.
-``graph_from_arrays`` wraps it with the checks for an empty edge list and
-on merged weights, and every builder ends there: ``build_graph`` after
-one pass that checks each edge in input order and collects its endpoints
-and weight, then interns the labels; the edge-list readers after interning
-the labels they have checked; and the generator with its integer arrays.
-The build guarantees:
+Every graph is built by one array pass, ``graph_from_arrays``: integer
+endpoint and weight arrays in, CSR out, with no per-edge Python, and the
+checks for an empty edge list and on merged weights. Every builder ends
+there: ``build_graph`` after one pass that checks each edge in input order
+and collects its endpoints and weight, then interns the labels; the
+edge-list readers after interning the labels they have checked; and the
+generator with its integer arrays. The build guarantees:
 
 - node order is first appearance (pre-declared nodes, then endpoints,
   source before target), and each CSR row lists its neighbors in the order
@@ -94,11 +93,9 @@ class Graph:
         """Weight of the edge/arc source->target, 0.0 when absent."""
         i = self.index_of(source)
         j = self.index_of(target)
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        for k in range(lo, hi):
-            if self.indices[k] == j:
-                return float(self.weights[k])
-        return 0.0
+        lo = self.indptr[i]
+        hit = np.flatnonzero(self.indices[lo : self.indptr[i + 1]] == j)  # merged: at most one
+        return float(self.weights[lo + hit[0]]) if hit.size else 0.0
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -114,7 +111,7 @@ class Graph:
         return mask
 
     def isolates(self) -> frozenset[str]:
-        return frozenset(np.asarray(self.nodes, dtype=object)[self.isolate_mask()])
+        return frozenset(map(self.nodes.__getitem__, np.flatnonzero(self.isolate_mask()).tolist()))
 
     def edges(self) -> Iterator[Edge]:
         """Logical edge list in storage order: every arc for directed graphs,
@@ -185,7 +182,7 @@ def build_graph(
 
     One pass over ``edges``, in input order, checks each edge and collects
     its endpoints and weight into lists; the labels are then interned and
-    the adjacency built with ``csr_from_arrays``. Node order is first
+    the adjacency built with ``graph_from_arrays``. Node order is first
     appearance: pre-declared ``nodes``, then endpoints, source before
     target; each row lists its neighbors in the order their edge first
     appears. Parallel edges merge by summing their weights in input order,
@@ -227,13 +224,20 @@ def build_graph(
 def graph_from_arrays(
     labels: tuple[str, ...], src: np.ndarray, dst: np.ndarray, w: np.ndarray, directed: bool
 ) -> Graph:
-    """Graph on ``labels`` from endpoint indices into ``labels`` and valid
-    weights: ``csr_from_arrays``, then a GraphBuildError if parallel edges
-    merged to a weight that is not finite. Raises GraphBuildError on an
-    empty edge list."""
+    """Graph on ``labels`` from arrays of endpoint indices into ``labels``
+    and valid weights, with the guarantees in the module docstring. Raises
+    GraphBuildError on an empty edge list, and where parallel edges merged
+    to a weight that is not finite."""
     if not w.size:
         raise GraphBuildError("empty edge list: a graph needs at least one edge")
-    graph = Graph(labels, directed, *csr_from_arrays(src, dst, w, len(labels), directed))
+    n = len(labels)
+    u, v, merged, first, report = _merge_parallel(src, dst, w, n, directed)
+    if directed:
+        out, into = _csr_rows((u,), (v,), merged, first, n), _csr_rows((v,), (u,), merged, first, n)
+    else:  # every undirected edge is stored in both endpoint rows
+        out = into = _csr_rows((u, v), (v, u), merged, first, n)
+    del u, v, merged, first
+    graph = Graph(labels, directed, *out, *into, report)
     bad = np.flatnonzero(~np.isfinite(graph.weights))
     if bad.size:
         k = bad[0]
@@ -265,21 +269,6 @@ def _intern(
 def _check_label(label: object) -> None:
     if not isinstance(label, str) or not label:
         raise GraphBuildError(f"node labels must be non-empty strings, got {label!r}")
-
-
-def csr_from_arrays(src: np.ndarray, dst: np.ndarray, w: np.ndarray, n: int, directed: bool) -> tuple:
-    """Adjacency of nodes 0..n-1 from arrays of edge endpoints and weights,
-    with the guarantees in the module docstring. Returns the Graph fields
-    after ``nodes`` and ``directed``: out-CSR, in-CSR (the same arrays
-    again when undirected) and build report. Endpoints must lie in 0..n-1
-    and weights be valid.
-    """
-    u, v, merged, first, report = _merge_parallel(src, dst, w, n, directed)
-    if directed:
-        return (*_csr_rows((u,), (v,), merged, first, n), *_csr_rows((v,), (u,), merged, first, n), report)
-    # every undirected edge is stored in both endpoint rows
-    csr = _csr_rows((u, v), (v, u), merged, first, n)
-    return (*csr, *csr, report)
 
 
 def _merge_parallel(
@@ -358,10 +347,7 @@ def segment_sum(values: np.ndarray, indptr: np.ndarray, rows: np.ndarray | None 
     """Per-row sums of a CSR value array. Rows are contiguous, so the
     accumulation order within each row is the storage order (deterministic).
     ``rows`` is ``_entry_rows(indptr)``, for a caller that already has it."""
-    n = indptr.size - 1
-    if values.size == 0:
-        return np.zeros(n)
-    return np.bincount(_entry_rows(indptr) if rows is None else rows, weights=values, minlength=n)
+    return np.bincount(_entry_rows(indptr) if rows is None else rows, weights=values, minlength=indptr.size - 1)
 
 
 def _require_edges(graph: Graph) -> None:
@@ -442,7 +428,7 @@ def is_connected(graph: Graph) -> bool:
     slot = np.empty(graph.n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        reached = np.concatenate([_gather(indptr, indices, frontier)[1] for indptr, indices in adjacency])
+        reached = np.concatenate([indices[_gather(indptr, frontier)[1]] for indptr, indices in adjacency])
         new = reached[~seen[reached]]
         seen[new] = True
         # keep one copy of each node: of its copies, only the one whose
@@ -452,13 +438,14 @@ def is_connected(graph: Graph) -> bool:
     return bool(seen.all())
 
 
-def _gather(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The length of each of the neighbor lists of ``rows``, and the lists
-    concatenated."""
+def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The length of each of the CSR rows ``rows``, and the positions of
+    their entries, row after row in storage order. A row may be empty or
+    listed more than once."""
     start = indptr[rows]
     sizes = indptr[rows + 1] - start
-    shift = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-    return sizes, indices[shift + np.arange(shift.size)]
+    at = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
+    return sizes, at + np.arange(at.size)
 
 
 def validate(graph: Graph) -> ValidationReport:

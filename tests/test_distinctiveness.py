@@ -355,6 +355,9 @@ def heavy_weight_graphs():
         # at alpha=1, 1e-170**2 is 0.0 and 1e-160**2 subnormal; at alpha=2 the strength of C is subnormal
         build_graph([("A", "B", 1e-170), ("B", "C", 1e-160)]),
     ]
+    # two rescaled terms share the hub's long row (in the directed graph, the in-scores' terms do)
+    star = [("hub", f"leaf{i}", 1.0) for i in range(50)] + [("hub", "t1", 1e-170), ("hub", "t2", 1e-170)]
+    graphs += [build_graph(star), build_graph(star, directed=True)]
     for directed in (False, True):
         g = random_graph(rng, 12, directed=directed, density=0.3)
         graphs.append(build_graph([(u, v, float(10 ** rng.uniform(-3, 300))) for u, v, _ in g.edges()],
@@ -468,6 +471,7 @@ class TestStackedKernels:
             build_graph([("A", "B", 1e200), ("B", "C", 1.0), ("C", "D", 2.0), ("D", "E", 3.0)]),
             build_graph([("a", "b", 1e250), ("b", "c", 1e300), ("b", "d", 1e-3), ("c", "d", 1e150), ("d", "e", 1.0)]),
             build_graph([("A", "B", 1.0), ("B", "C", 2.0), ("C", "D", 3.0), ("D", "E", 4.0)]),
+            build_graph([("h", "a", 1.0), ("h", "b", 1.0), ("h", "c", 1e-170), ("h", "d", 1e-170)]),
         ]
         self.assert_stacked_bitwise(graphs, alpha, ("d1", "d2", "d4", "d5"))
 

@@ -3,7 +3,7 @@ import pytest
 
 from dcmetrics import GraphBuildError, ParseError, build_graph, is_connected, parse_edge_list, profile, validate
 from dcmetrics.datasets import DATASET_NAMES, builtin_dataset
-from dcmetrics.graph import first_inverse
+from dcmetrics.graph import _gather, first_inverse
 from conftest import assert_same_graph, random_graph
 from naive import naive_build_graph, naive_edges, naive_is_connected
 
@@ -298,6 +298,16 @@ class TestArrayBuildMatchesReference:
             got_first, got_inverse = first_inverse(key)
             assert got_first.dtype == first.dtype and np.array_equal(got_first, first)
             assert got_inverse.dtype == inverse.dtype and np.array_equal(got_inverse, inverse)
+
+    def test_gather_matches_a_loop_over_the_rows(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 20))
+            indptr = np.concatenate(([0], np.cumsum(rng.integers(0, 4, size=n))))  # empty rows among them
+            rows = rng.integers(0, n, size=int(rng.integers(0, 3 * n)))  # repeats among them
+            sizes, at = _gather(indptr, rows)
+            assert sizes.tolist() == [indptr[r + 1] - indptr[r] for r in rows]
+            assert at.tolist() == [k for r in rows for k in range(indptr[r], indptr[r + 1])]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_edges_and_connectivity_match_loops(self, directed):
