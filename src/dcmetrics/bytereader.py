@@ -3,15 +3,23 @@
 ``read_edge_list`` works on the text's UTF-8 bytes, with memory in
 proportion to the graph rather than to the text:
 
-- ``_layout`` reads blocks of whole lines, about _BLOCK bytes each: numpy
-  finds the line and tab boundaries and strips ASCII whitespace on offset
-  arrays, and each field's byte range and each weight go into arrays
-  sized from the line count, so no temporary outgrows a block.
+- ``_layout`` reads blocks of whole lines, about _BLOCK bytes each. One
+  numpy scan finds a block's tabs and LFs together; each line's end, first
+  tab and field count follow from the ranks of the LFs among them. ASCII
+  whitespace is stripped on offset arrays: from whole lines, and from
+  fields only in a block that holds a byte up to 0x20 besides tab and LF,
+  since elsewhere a field is exactly the gap between its delimiters. Each
+  field's byte range and each weight go into arrays sized from the line
+  count, so no temporary outgrows a block.
 - Labels are interned by a hash of their bytes taken 8 bytes per numpy
   step, through a view of the text as overlapping little-endian words
   (the last 1 to 7 bytes of a field come from the word that ends with
-  them, shifted). Equal hashes are checked the same way, word by word, a
-  slice of _FIELDS fields at a time.
+  them, shifted). Each field is then checked against the first field of
+  its hash group on the real bytes, a slice of _FIELDS fields at a time:
+  its length and last 1 to 8 bytes (the group's taken once), then, for a
+  field longer than 8 bytes, the earlier bytes a word at a time. The
+  groups are ranked by first appearance from a mark at each group's first
+  field position, with no sort.
 - Only the distinct labels become strings: one gather joins their bytes
   with tabs, then one decode and one split.
 
@@ -47,7 +55,7 @@ _FIELDS = 1 << 16  # fields hashed or compared at a time
 def read_edge_list(text: str) -> Graph | None:
     """The Graph ``io._parse_lines`` builds from ``text``, or None for a
     document this reader leaves to that loop."""
-    if (not text.isascii() and _UNICODE_SPACE.search(text)) or _BARE_CR.search(text):
+    if (not text.isascii() and _UNICODE_SPACE.search(text)) or ("\r" in text and _BARE_CR.search(text)):
         return None
     try:
         raw = text.encode()
@@ -79,7 +87,8 @@ def _layout(buf: np.ndarray, raw: bytes) -> tuple | None:
     weights go into arrays sized from the line count.
     """
     index = np.int32 if buf.size < 2**31 - 1 else np.int64  # so that buf.size + 1 fits
-    lines = raw.count(b"\n") + 1
+    step = max(_BLOCK, 1)  # numpy counts LFs a slice at a time, ten times faster than bytes.count
+    lines = 1 + sum(np.count_nonzero(buf[a:a + step] == 10) for a in range(0, buf.size, step))
     lo, hi, weights = np.empty(2 * lines, index), np.empty(2 * lines, index), np.empty(lines)
     declared: list[tuple[np.ndarray, np.ndarray]] = []
     edges = 0
@@ -91,7 +100,7 @@ def _layout(buf: np.ndarray, raw: bytes) -> tuple | None:
         start = stop
         if block is None:
             continue
-        starts, ends, label_lo, label_hi, first_tab, count, tabs = block
+        starts, ends, label_lo, label_hi, first_tab, count, delims, spaced = block
         if directed is None:
             directed = False
             if count[0] == 1:
@@ -107,8 +116,8 @@ def _layout(buf: np.ndarray, raw: bytes) -> tuple | None:
         declared.append((label_lo[~edge], label_hi[~edge]))
         k = int(np.count_nonzero(edge))
         fields = slice(2 * edges, 2 * (edges + k))
-        if not _edge_fields(buf, raw, starts[edge], ends[edge], tabs, first_tab[edge], count[edge] == 3,
-                            lo[fields], hi[fields], weights[edges:edges + k]):
+        if not _edge_fields(buf, raw, starts[edge], ends[edge], delims, first_tab[edge], count[edge] == 3,
+                            spaced, lo[fields], hi[fields], weights[edges:edges + k]):
             return None
         edges += k
     if not edges:
@@ -124,40 +133,54 @@ def _layout(buf: np.ndarray, raw: bytes) -> tuple | None:
 def _block_lines(buf: np.ndarray, start: int, stop: int, index) -> tuple | None:
     """The data lines among the whole lines of buf[start:stop]: their
     ranges [starts, ends) before and after stripping, the index into
-    ``tabs`` of each one's first tab, its field count, and the positions of
-    the block's tabs. None for a block without data lines."""
+    ``delims`` of each one's first tab and its field count; the positions
+    of the block's tabs and LFs, with the end of a last line without a LF
+    appended; and whether the block holds a byte up to 0x20 other than tab
+    and LF (without one, no field has a byte for ``str.strip`` to remove).
+    None for a block without data lines.
+
+    One scan finds the tabs and LFs together: the delimiters of a line are
+    those after the previous line's LF, up to its own, so its first tab and
+    field count follow from the ranks of the LFs among them."""
     chunk = buf[start:stop]
-    ends = np.flatnonzero(chunk == 10).astype(index)
-    ends += start
+    delims = np.flatnonzero((chunk == 9) | (chunk == 10)).astype(index)
+    spaced = np.count_nonzero(chunk <= 32) > delims.size
+    line_end = np.flatnonzero(chunk[delims] == 10)  # the rank of each LF among the delimiters
+    delims += start
     if chunk[-1] != 10:  # the last line of a text without a final LF
-        ends = np.append(ends, index(stop))
+        line_end = np.append(line_end, delims.size)
+        delims = np.append(delims, index(stop))
+    ends = delims[line_end]
     starts = np.empty_like(ends)
     starts[:1] = start
     np.add(ends[:-1], 1, out=starts[1:])
+    first_tab = np.empty_like(line_end)
+    first_tab[:1] = 0
+    np.add(line_end[:-1], 1, out=first_tab[1:])
     lo, hi = _strip(buf, starts, ends)
     data = lo < hi
     data[data] = buf[lo[data]] != 35  # "#" starts a comment
     if not data.any():
         return None
-    starts, ends, lo, hi = starts[data], ends[data], lo[data], hi[data]
-    tabs = np.flatnonzero(chunk == 9).astype(index)
-    tabs += start
-    first_tab = np.searchsorted(tabs, starts)
-    count = np.searchsorted(tabs, ends) - first_tab + 1
-    return starts, ends, lo, hi, first_tab, count, tabs
+    first_tab = first_tab[data]
+    return starts[data], ends[data], lo[data], hi[data], first_tab, line_end[data] - first_tab + 1, delims, spaced
 
 
-def _edge_fields(buf, raw, starts, ends, tabs, first_tab, three, lo, hi, weights) -> bool:
+def _edge_fields(buf, raw, starts, ends, delims, first_tab, three, spaced, lo, hi, weights) -> bool:
     """Write the stripped source and target ranges of the edge lines
     [starts, ends) into ``lo`` and ``hi``, interleaved, and their weights
-    into ``weights``; False when a label is empty or a weight bad."""
-    tab1 = tabs[first_tab]
-    tab2 = tabs[np.minimum(first_tab + 1, tabs.size - 1)]
-    lo[0::2], hi[0::2] = _strip(buf, starts, tab1)
-    lo[1::2], hi[1::2] = _strip(buf, tab1 + 1, np.where(three, tab2, ends))
+    into ``weights``; False when a label is empty or a weight bad. Outside a
+    ``spaced`` block a field is exactly the gap between its delimiters."""
+    tab1 = delims[first_tab]
+    end2 = delims[first_tab + 1]  # the second tab, or the end of a line without one
+    if spaced:
+        lo[0::2], hi[0::2] = _strip(buf, starts, tab1)
+        lo[1::2], hi[1::2] = _strip(buf, tab1 + 1, end2)
+    else:
+        lo[0::2], hi[0::2], lo[1::2], hi[1::2] = starts, tab1, tab1 + 1, end2
     if not np.all(lo < hi):
         return False
-    parsed = _parse_weights(buf, raw, tab2[three] + 1, ends[three])
+    parsed = _parse_weights(buf, raw, end2[three] + 1, ends[three])
     if parsed is None:
         return False
     weights[:] = 1.0
@@ -224,13 +247,14 @@ def _intern_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) 
     appearance, and the label index of every field; None on a hash
     collision. Only the distinct labels are decoded to strings."""
     first, group = first_inverse(_hash_fields(buf, raw, lo, hi), lo.dtype)
-    first = first.astype(group.dtype)
-    if not _equal_fields(buf, raw, lo, hi, first[group]):
+    if not _equal_fields(buf, raw, lo, hi, first, group):
         return None
-    order = np.argsort(first)
-    rank = np.empty(order.size, dtype=group.dtype)
-    rank[order] = np.arange(order.size, dtype=group.dtype)
-    first = first[order]
+    # the groups' first fields in order of position, and each group's rank among them
+    seen = np.zeros(lo.size, dtype=bool)
+    seen[first] = True
+    first = np.flatnonzero(seen)
+    rank = np.empty(first.size, dtype=group.dtype)
+    rank[group[first]] = np.arange(first.size, dtype=group.dtype)
     return _decode(buf, lo[first], hi[first]), rank[group]
 
 
@@ -299,31 +323,33 @@ def _hash_words(words: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return h
 
 
-def _equal_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray, other: np.ndarray) -> bool:
-    """Whether field i has the same bytes as field other[i], for every i:
-    a word at a time, and fields longer than _LONG bytes as bytes objects."""
+def _equal_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
+                  group: np.ndarray) -> bool:
+    """Whether every field i has the bytes of field first[group[i]], the
+    first of its group: the same length and the same last 1 to 8 bytes,
+    taken once per group; then, for fields longer than 8 bytes, the same
+    earlier bytes a word at a time, up to the first _LONG; fields longer
+    than _LONG bytes are compared whole as bytes objects."""
     words = _words(buf, raw)
-    for a in range(0, lo.size, _FIELDS):
+    first_lo, first_hi = lo[first], hi[first]
+    first_size = first_hi - first_lo
+    first_tail = _last_words(words, np.maximum(first_hi - 8, first_lo), first_hi)
+    for a in range(0, lo.size, _FIELDS):  # a slice at a time keeps the temporaries small
         part = slice(a, a + _FIELDS)
-        if not _equal_words(words, lo[part], hi[part], lo[other[part]], hi[other[part]]):
+        pos, end, g = lo[part], hi[part], group[part]
+        if not np.array_equal(end - pos, first_size[g]):
             return False
+        if not np.array_equal(_last_words(words, np.maximum(end - 8, pos), end), first_tail[g]):
+            return False
+        k = np.flatnonzero(end - pos > 8)
+        pos, end, other_pos = pos[k], np.minimum(end[k] - 8, pos[k] + _LONG), first_lo[g[k]]
+        while pos.size:
+            if np.any(words[pos] != words[other_pos]):
+                return False
+            pos += 8
+            other_pos += 8
+            k = np.flatnonzero(pos < end)
+            pos, end, other_pos = pos[k], end[k], other_pos[k]
     long = np.flatnonzero(hi - lo > _LONG)
-    pairs = zip(lo[long].tolist(), hi[long].tolist(), lo[other[long]].tolist())
+    pairs = zip(lo[long].tolist(), hi[long].tolist(), first_lo[group[long]].tolist())
     return all(raw[a:b] == raw[c:c + b - a] for a, b, c in pairs)
-
-
-def _equal_words(words: np.ndarray, lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray,
-                 other_hi: np.ndarray) -> bool:
-    """Whether each field [lo, hi) has the length of [other_lo, other_hi)
-    and the same first _LONG bytes."""
-    if not np.array_equal(hi - lo, other_hi - other_lo):
-        return False
-    pos, end, other_pos = lo.copy(), np.minimum(hi, lo + _LONG), other_lo.copy()
-    k = np.flatnonzero(end - pos > 8)
-    while k.size:
-        if np.any(words[pos[k]] != words[other_pos[k]]):
-            return False
-        pos[k] += 8
-        other_pos[k] += 8
-        k = k[end[k] - pos[k] > 8]
-    return np.array_equal(_last_words(words, pos, end), _last_words(words, other_pos, other_pos + (end - pos)))

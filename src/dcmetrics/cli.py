@@ -10,7 +10,9 @@ header so results can be regenerated exactly.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
+import io
 import os
 import re
 import sys
@@ -81,9 +83,13 @@ _FIRST_LINE = r"\s*([^\n]*)"
 def _read_graph(path: str) -> Graph:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes()
     except OSError as exc:
         raise DCMetricsError(f"cannot read input file {path}: {exc.strerror or exc}") from None
+    # the two decoders a text-mode read runs, in one call: the BOM dropped, CRLF and lone CR read as LF
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(), translate=True)
+    text = decoder.decode(data, final=True)
+    del data  # frees the bytes before the parse's peak
     first_line = re.match(_FIRST_LINE, text)[1]  # an edge line holds a tab
     if path.suffix.lower() == ".gexf" or (first_line.startswith("<") and "\t" not in first_line):
         return parse_gexf_minimal(text)

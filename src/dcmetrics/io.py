@@ -11,19 +11,22 @@ Edge-list format (UTF-8, LF, '.' decimal point regardless of locale):
     Z                     <- single field: declares an isolated node
 
 Lines end at "\n" only. The "\r" of a CRLF line is stripped with the
-other surrounding whitespace; any other "\r" is a ParseError (text read
-in text mode, as the CLI reads files, holds none). The other characters
-``str.splitlines`` breaks at ("\x0c", "\x1c", "\x85", "\u2028", ...)
+other surrounding whitespace; any other "\r" is a ParseError (text decoded
+as text mode decodes it, as the CLI reads files, holds none). The other
+characters ``str.splitlines`` breaks at ("\x0c", "\x1c", "\x85", "\u2028", ...)
 are label characters: a label with one between other characters
 survives a write/parse round trip (``strip`` removes one at either end).
 
 Two readers build the same Graph. ``parse_edge_list`` runs the array reader
 of ``dcmetrics.bytereader`` (imported by the first parse, so commands that
 read no file do not load it) over the text's UTF-8 bytes, in blocks of
-whole lines: numpy finds the line and tab boundaries and strips ASCII
-whitespace (bytes 9-13 and 28-32, what ``str.strip`` removes from ASCII
-text) on offset arrays; labels are interned by a hash of their bytes
-taken a word (8 bytes) at a time, checked word for word, so that only the
+whole lines: one numpy scan finds a block's tabs and LFs together, and
+ASCII whitespace (bytes 9-13 and 28-32, what ``str.strip`` removes from
+ASCII text) is stripped on offset arrays, from the fields only in a block
+that holds a byte up to 0x20 besides tab and LF. Labels are interned by a hash of
+their bytes taken a word (8 bytes) at a time, and every field is checked
+against the first field of its hash group on the bytes themselves (length
+and last 8 bytes, then the earlier bytes a word at a time), so that only the
 distinct labels become Python strings. Weights written as 1 to 15 ASCII
 digits, with or without a decimal point, are read in arrays, every other
 weight text by ``float()``.

@@ -508,6 +508,43 @@ class TestByteOrderMark:
             assert out.splitlines()[1] == "d1@a,1,1"
 
 
+class TestFileDecoding:
+    """An input file reads as text mode reads it: UTF-8, a byte-order mark
+    dropped, CRLF and a lone CR read as LF."""
+
+    TEXT = "# toy\nundirected\n" + TestByteOrderMark.TOY + "Z\n"
+
+    def _compute(self, capsys, path):
+        return run(capsys, "compute", "--input", str(path), "--metrics", "dc", "--alpha", "2")
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: "\ufeff" + text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+        lambda text: "\ufeff" + "".join(line + ("\r\n", "\r", "\n")[i % 3] for i, line in enumerate(text.split("\n"))),
+    ], ids=["bom", "crlf", "cr", "mixed"])
+    def test_same_scores_as_the_lf_file(self, capsys, tmp_path, encode):
+        plain, other = tmp_path / "plain.tsv", tmp_path / "other.tsv"
+        plain.write_bytes(self.TEXT.encode())
+        other.write_bytes(encode(self.TEXT).encode())
+        expected = self._compute(capsys, plain)
+        assert expected[0] == 0
+        assert self._compute(capsys, other) == expected
+
+    def test_invalid_utf8_is_the_text_mode_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"\xef\xbb\xbfA\tB\t2\nB\tC\xff\n")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            path.read_text(encoding="utf-8-sig")
+        assert self._compute(capsys, path) == (1, "", f"error: {exc.value}\n")
+
+    def test_cut_byte_order_mark_reads_as_text_mode_reads_it(self, capsys, tmp_path):
+        path = tmp_path / "cut.tsv"
+        path.write_bytes(b"\xef\xbb")
+        assert path.read_text(encoding="utf-8-sig") == ""
+        assert self._compute(capsys, path) == (1, "", "error: document contains no edges\n")
+
+
 class TestStreamedOutput:
     """``compute`` scores every vector before it opens its output, then
     writes the table in blocks; every command hands ``_emit`` blocks, not

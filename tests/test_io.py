@@ -11,6 +11,7 @@ import pytest
 from dcmetrics import (
     DATASET_NAMES,
     CentralityVector,
+    DCMetricsError,
     GraphBuildError,
     ParseError,
     all_distinctiveness,
@@ -197,8 +198,43 @@ def _document(rng, directed, exotic):
     return end.join(lines) + str(rng.choice(["", end]))
 
 
+# the alphabet of the token documents: the delimiters, CRLF and four more of the
+# bytes str.strip removes, weight spellings, both directives, NUL and a 2-byte letter
+_TOKENS = ["\t", "\n", "\r\n", " ", "\x0b", "\x0c", "\x1c", "#", ".", "-", "_", "+", *"0123456789",
+           "inf", "nan", "e5", "directed", "undirected", "\x00", "\u00e9"]
+_TOKEN_P = np.array([5, 5, 2] + [1] * 9 + [5] * 10 + [1] * 7, dtype=float)
+_TOKEN_P /= _TOKEN_P.sum()
+
+
 class TestArrayReaderMatchesLoop:
     """The array reader in ``dcmetrics.bytereader`` against the line-by-line reader."""
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_same_outcome_on_token_documents(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(bytereader, "_BLOCK", block)
+        rng = np.random.default_rng(23)
+        outcomes = {"read": 0, "loop": 0}
+        for _ in range(2000):
+            head = [str(rng.choice(["directed", "undirected"])), "\n"] if rng.random() < 0.7 else []
+            text = "".join(head + rng.choice(_TOKENS, size=int(rng.integers(1, 40)), p=_TOKEN_P).tolist())
+            try:
+                expected = io._parse_lines(text)
+            except DCMetricsError as exc:
+                expected = exc
+            try:
+                graph = bytereader.read_edge_list(text)
+            except DCMetricsError as exc:
+                assert (type(exc), str(exc)) == (type(expected), str(expected)), repr(text)
+                continue
+            if graph is None:
+                outcomes["loop"] += 1
+                continue
+            assert not isinstance(expected, DCMetricsError), repr(text)
+            assert_same_graph(graph, expected)
+            outcomes["read"] += 1
+        # a share of the documents is read in arrays, and some go to the loop
+        assert outcomes["read"] > 200 and outcomes["loop"] > 200, outcomes
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_same_graph_on_seeded_documents(self, directed):
@@ -243,9 +279,17 @@ class TestArrayReaderMatchesLoop:
         text = f"undirected\nZ\n{ab}\t{cd}\t2\n{cd}\t{ef}\n{ab}\t{ef}\t3\n"
         reference = naive_build_graph([(ab, cd, 2.0), (cd, ef, 1.0), (ab, ef, 3.0)], nodes=["Z"])
         assert_same_graph(bytereader.read_edge_list(text), reference)
+        # 16-byte labels that differ only in their first byte: their last 8 bytes agree,
+        # so only the word walk over the earlier bytes tells them apart
+        gh, ih = "g" + "h" * 15, "i" + "h" * 15
+        head = f"{gh}\t{ih}\t2\n"
+        head_reference = naive_build_graph([(gh, ih, 2.0)])
+        assert_same_graph(bytereader.read_edge_list(head), head_reference)
         monkeypatch.setattr(bytereader, "_hash_fields", fake_hash)
         assert bytereader.read_edge_list(text) is None
         assert_same_graph(parse_edge_list(text), reference)
+        assert bytereader.read_edge_list(head) is None
+        assert_same_graph(parse_edge_list(head), head_reference)
 
     def test_long_label(self):
         long = "".join(map(chr, np.random.default_rng(3).integers(0x21, 0x7F, size=5000).tolist()))
@@ -384,6 +428,16 @@ class TestBlockReader:
 
     def test_crlf_lines_at_block_edges(self):
         self.check("undirected\r\n# c\r\nA\tB\t2\r\nB\tC\r\nZ\r\nC\tA\t1.5\r\n\r\n")
+
+    def test_plain_and_spaced_lines_alternate(self):
+        # every other line holds a CR, a space or a 0x1C at a field edge, so that
+        # adjacent blocks take both branches of _edge_fields
+        spaced = ["{}\t{}\r", "{}\t {}\t2\r", " {} \t{}", "{}\t{} \t3", "\x1c{}\t{}", "{}\x1c\t\x1c{}\t4"]
+        lines = ["undirected"]
+        for i, template in enumerate(spaced):
+            lines += [f"v{i}\tv{i + 1}\t{i + 1}", template.format(f"v{i}", f"v{i + 2}")]
+        graph = self.check("\n".join(lines) + "\n")
+        assert graph.n == 8
 
     @pytest.mark.parametrize("text", [
         "A\tB", "A\tB\t2\nB\tC", "A\tB\t2\nB\tCDEFGHI", "A\tB\t2\nB\tCDEFGHIJ", "A\tBCDEFG\t3",
