@@ -42,9 +42,12 @@ Constraint and effective size sum over triangles: per stored entry
 e = (i, j) and common neighbour q, the entries f = (i, q) and x = (j, q).
 ``_triangles`` lists them with one join over the CSR, sorted by (e, f): the
 order of a loop over the egos i, their alters j, then their alters q, which
-``tests/naive.py`` keeps as the reference. The sums keep that loop's bits:
-``np.bincount`` adds in array order from 0.0, a constraint sum starts at
-p_ij as the loop's does, and a q not tied to j adds 0.0 there or is skipped.
+``tests/naive.py`` keeps as the reference. The lookup keys and the (e, f)
+keys are both distinct, and both are ordered by ``graph._stable_order``,
+the packed value sort (``tests/naive.py`` keeps the argsort join). The sums
+keep that loop's bits: ``np.bincount`` adds in array order from 0.0, a
+constraint sum starts at p_ij as the loop's does, and a q not tied to j
+adds 0.0 there or is skipped.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from .distinctiveness import BASELINES, CentralityVector
 from .errors import ConvergenceError, DisconnectedGraphError
-from .graph import Graph, _entry_rows, _gather, is_connected, segment_sum
+from .graph import Graph, _entry_rows, _gather, _stable_order, is_connected, segment_sum
 
 __all__ = [
     "BASELINES",
@@ -351,8 +354,7 @@ def _triangles(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, indptr, indices = graph.n, graph.indptr, graph.indices
     rows = _entry_rows(indptr)
     keys = rows * n + indices
-    order = np.argsort(keys)
-    keys = keys[order]
+    order, keys = _stable_order(keys, values=True)
     degree = np.diff(indptr)
     swap = degree[indices] < degree[rows]  # walk row j, look up in row i
     walk, other = np.where(swap, indices, rows), np.where(swap, rows, indices)
@@ -367,7 +369,7 @@ def _triangles(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         hit = keys[found] == look
         e, walked, found = e[hit], walked[hit], order[found[hit]]
         f, x = np.where(swap[e], found, walked), np.where(swap[e], walked, found)
-        by = np.argsort(e * indices.size + f)
+        by = _stable_order(e * indices.size + f)
         parts.append((e[by], f[by], x[by]))
         lo = hi
     return tuple(np.concatenate(part) for part in zip(*parts))

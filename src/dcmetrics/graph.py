@@ -21,6 +21,13 @@ generator with its integer arrays. The build guarantees:
 - parallel edges are merged by adding their weights in input order, so a
   merged weight is bitwise the left-to-right float sum of its copies;
 - self-loops are dropped; both cleanups are counted in the BuildReport.
+
+Grouping and ordering take no argsort: ``_stable_order`` gives the stable
+order of integer keys from one in-place value sort of the keys with each
+element's position packed into their low bits. ``first_inverse`` groups
+the readers' label hashes, the parallel edges and the writer's endpoints
+with it; ``_csr_rows`` orders the entries with it, and ``baselines`` its
+triangle join.
 """
 
 from __future__ import annotations
@@ -295,18 +302,16 @@ def _merge_parallel(
 
 def first_inverse(key: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarray]:
     """What ``np.unique(key, return_index=True, return_inverse=True)`` gives
-    after the values: the first position of each distinct value, in value
-    order, and the group of every element, as ``dtype``. One quicksort
-    ``argsort``, about twice as fast as np.unique's stable sort; it leaves
-    the positions within a run of equal values unordered, so each run takes
-    their minimum."""
-    order = np.argsort(key)
-    sorted_key = key[order]
+    after the values, for non-negative 64-bit integer keys: the first
+    position of each distinct value, in value order, and the group of every
+    element, as ``dtype``. The stable order lists each run of equal values
+    in input order, so a run's first position is its start."""
+    order, sorted_key = _stable_order(key, dtype, values=True)
     starts_run = np.empty(key.size, dtype=bool)
     starts_run[:1] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts_run[1:])
     del sorted_key
-    first = np.minimum.reduceat(order, np.flatnonzero(starts_run))
+    first = order[np.flatnonzero(starts_run)].astype(np.intp, copy=False)
     groups = np.cumsum(starts_run, dtype=dtype)
     groups -= 1
     inverse = np.empty(key.size, dtype=dtype)
@@ -314,19 +319,58 @@ def first_inverse(key: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarra
     return first, inverse
 
 
+def _stable_order(key: np.ndarray, dtype=np.intp, values: bool = False):
+    """``np.argsort(key, kind="stable")`` of non-negative 64-bit integer
+    keys, as ``dtype``, and with ``values`` also ``key`` in that order.
+
+    One in-place value sort (about three times as fast as an argsort): each
+    key is shifted up and its position packed into the low bits, so the
+    sorted words break ties by position and hold the order in those bits.
+    Where key and position bits pass 64, the key's low bits give way to the
+    position; each run of tied truncated keys whose full keys differ is then
+    sorted again by the bits it lost (rare for hashes)."""
+    pos_bits = max(key.size - 1, 0).bit_length()
+    shift = max(int(key.max(initial=0)).bit_length() + pos_bits - 64, 0)
+    packed = key.astype(np.uint64)
+    packed >>= shift
+    packed <<= pos_bits
+    packed |= np.arange(key.size, dtype=np.uint64)
+    packed.sort()
+    sorted_key = (packed >> pos_bits).view(key.dtype) if values and not shift else None
+    packed &= (1 << pos_bits) - 1
+    order = packed.view(np.int64).astype(dtype, copy=False)
+    del packed
+    if shift:
+        sorted_key = key[order]
+        down = np.flatnonzero(sorted_key[1:] < sorted_key[:-1])
+        if down.size:  # runs of one truncated key out of full-key order: sort them again
+            top = sorted_key >> shift
+            runs = np.unique(top[down])
+            at = np.flatnonzero(np.isin(top, runs))
+            fix = order[at]
+            # by (run, lost bits): under 2 * pos_bits bits, and each run keeps input order
+            lost = key[fix].astype(np.uint64)
+            lost &= (1 << shift) - 1
+            lost |= np.searchsorted(runs, top[at]).astype(np.uint64) << shift
+            order[at] = fix = fix[_stable_order(lost)]
+            sorted_key[at] = key[fix]
+    return (order, sorted_key) if values else order
+
+
 def _csr_rows(
     rows: tuple[np.ndarray, ...], cols: tuple[np.ndarray, ...], merged: np.ndarray, first: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only CSR with an entry (rows[k][e], cols[k][e], merged[e]) for
     each part k and pair e, rows ordered by first position. Positions are
-    unique, so one argsort of row * bound + position, in int64, is that
-    order (far faster than ``np.lexsort``)."""
+    unique, so the order of the keys row * bound + position, in int64, is
+    that order; it is taken by ``_stable_order``, as int32 where the entry
+    count allows."""
     bound = int(first.max(initial=0)) + 1
     keys = np.empty((len(rows), first.size), dtype=np.int64)
     for part, row in zip(keys, rows):
         np.multiply(row, bound, out=part, dtype=np.int64)
         part += first
-    order = np.argsort(keys, axis=None)
+    order = _stable_order(keys.ravel(), np.int32 if keys.size < 2**31 else np.int64)
     del keys
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sum(np.bincount(row, minlength=n) for row in rows), out=indptr[1:])

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distinctiveness import CentralityVector
-from .errors import ParseError
+from .errors import GraphBuildError, ParseError
 from .graph import Graph, _intern, _require_edges, build_graph, first_inverse, graph_from_arrays
 
 __all__ = [
@@ -128,10 +128,26 @@ def _parse_lines(text: str) -> Graph:
         weights.append(w)
     if not sources and not declared:
         raise ParseError("document contains no edges")
+    if not sources:
+        raise GraphBuildError(_bare_labels_only(text, declared))
     w = np.array(weights, dtype=np.float64)
     del weights  # frees the float objects before the build's peak
     labels, src, dst = _intern(tuple(declared), sources, targets)
     return graph_from_arrays(labels, src, dst, w, directed)
+
+
+def _bare_labels_only(text: str, declared: list[str]) -> str:
+    """The error for a document whose data lines, after any directive, are
+    all bare labels: how many, and the first that holds a space, as a line
+    of space-separated fields would."""
+    k = len(declared)
+    message = (f"empty edge list: a graph needs at least one edge; found {k} bare-label "
+               f"line{'s' if k > 1 else ''} with no tab (fields are tab-separated)")
+    spaced = next((label for label in declared if " " in label), None)
+    if spaced is not None:  # its declaration is the first line that strips to it
+        lineno = next(i for i, line in enumerate(text.split("\n"), start=1) if line.strip() == spaced)
+        message += f"; line {lineno} holds a space: {spaced!r}"
+    return message
 
 
 def write_edge_list(graph: Graph) -> str:

@@ -32,7 +32,8 @@ from dcmetrics import (
     spearman,
 )
 from dcmetrics.distinctiveness import _adjacency_view, _resolve_direction
-from dcmetrics.graph import graph_from_arrays, segment_sum
+from dcmetrics.baselines import _BLOCK_CELLS
+from dcmetrics.graph import _entry_rows, _gather, graph_from_arrays, segment_sum
 
 
 def naive_build_graph(edges, directed=False, nodes=()):
@@ -106,6 +107,23 @@ def naive_edges(graph):
                     continue
                 seen.add((i, j))
             yield graph.nodes[i], graph.nodes[j], float(graph.weights[k])
+
+
+def naive_csr_rows(rows, cols, merged, first, n):
+    """Bitwise reference for ``graph._csr_rows``, as it was before the
+    packed value sort: one quicksort argsort of the int64 keys
+    row * bound + position, then the same gathers."""
+    bound = int(first.max(initial=0)) + 1
+    keys = np.empty((len(rows), first.size), dtype=np.int64)
+    for part, row in zip(keys, rows):
+        np.multiply(row, bound, out=part, dtype=np.int64)
+        part += first
+    order = np.argsort(keys, axis=None)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sum(np.bincount(row, minlength=n) for row in rows), out=indptr[1:])
+    indices = np.concatenate(cols)[order].astype(np.int64, copy=False)
+    order %= max(first.size, 1)
+    return indptr, indices, merged[order]
 
 
 def naive_is_connected(graph):
@@ -560,6 +578,35 @@ def naive_burt_constraint(graph, weighted=False):
             total += local * local
         values[i] = total
     return values
+
+
+def naive_triangles(graph):
+    """Bitwise reference for ``baselines._triangles``, as it was before the
+    packed value sort: the sorted keys and each block's (e, f) order from
+    quicksort argsorts (the keys are distinct, so any sort gives the same)."""
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
+    rows = _entry_rows(indptr)
+    keys = rows * n + indices
+    order = np.argsort(keys)
+    keys = keys[order]
+    degree = np.diff(indptr)
+    swap = degree[indices] < degree[rows]
+    walk, other = np.where(swap, indices, rows), np.where(swap, rows, indices)
+    starts = np.concatenate(([0], np.cumsum(degree[walk])))
+    parts, lo = [(np.zeros(0, dtype=np.int64),) * 3], 0
+    while lo < indices.size:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _BLOCK_CELLS, "right")) - 1)
+        sizes, walked = _gather(indptr, walk[lo:hi])
+        e = np.repeat(np.arange(lo, hi), sizes)
+        look = other[e] * n + indices[walked]
+        found = np.minimum(np.searchsorted(keys, look), keys.size - 1)
+        hit = keys[found] == look
+        e, walked, found = e[hit], walked[hit], order[found[hit]]
+        f, x = np.where(swap[e], found, walked), np.where(swap[e], walked, found)
+        by = np.argsort(e * indices.size + f)
+        parts.append((e[by], f[by], x[by]))
+        lo = hi
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def naive_effective_size(graph, weighted=False):

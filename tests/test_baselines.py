@@ -31,6 +31,7 @@ from naive import (
     naive_dijkstra_closeness,
     naive_effective_size,
     naive_power_eigenvector,
+    naive_triangles,
 )
 from reference_values import PRINT_TOL, TOY_BASELINES, matches_print
 from test_distinctiveness import star
@@ -511,6 +512,20 @@ class TestEgoBaselinesMatchReference:
         for g in _ego_graphs(path_graphs):
             got = effective_size(g, weighted=weighted).values
             assert np.array_equal(_bits(got), _bits(naive_effective_size(g, weighted)))
+
+    @pytest.mark.parametrize("cells", [None, 1, 5])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_triangles_match_the_argsort_join(self, monkeypatch, directed, cells):
+        # random multigraphs: parallel edges, reversed copies and self-loops
+        if cells is not None:
+            monkeypatch.setattr(baselines, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            ends = rng.integers(0, n, size=(int(rng.integers(1, 200)), 2)).tolist()
+            g = build_graph([(str(u), str(v), 1.0) for u, v in ends] + [("0", "1", 2.0)], directed=directed)
+            for got, expected in zip(baselines._triangles(g), naive_triangles(g)):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
     def test_graphs_cover_the_cleanups(self, path_graphs):
         *_, hubs, messy, loops_only, _ = _ego_graphs(path_graphs)

@@ -143,6 +143,14 @@ class TestCompute:
         assert code == 1
         assert "graph has no edges left after self-loops were dropped" in err
 
+    def test_space_separated_edges_name_the_cause(self, capsys, tmp_path):
+        path = tmp_path / "spaces.tsv"
+        path.write_text("undirected\nA B 1\nB C 2\n")
+        code, out, err = run(capsys, "compute", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: empty edge list: a graph needs at least one edge; found 2 bare-label lines "
+                       "with no tab (fields are tab-separated); line 2 holds a space: 'A B 1'\n")
+
     def test_baselines_group(self, capsys):
         code, out, _ = run(
             capsys, "compute", "--dataset", "toy-undirected", "--metrics", "baselines",

@@ -3,9 +3,9 @@ import pytest
 
 from dcmetrics import GraphBuildError, ParseError, build_graph, is_connected, parse_edge_list, profile, validate
 from dcmetrics.datasets import DATASET_NAMES, builtin_dataset
-from dcmetrics.graph import _gather, first_inverse
+from dcmetrics.graph import _csr_rows, _gather, _merge_parallel, _stable_order, first_inverse
 from conftest import assert_same_graph, random_graph
-from naive import naive_build_graph, naive_edges, naive_is_connected
+from naive import naive_build_graph, naive_csr_rows, naive_edges, naive_is_connected
 
 
 class TestBuild:
@@ -254,6 +254,30 @@ def _random_edge_list(rng, directed):
     return edges, declared
 
 
+def _sort_keys(rng):
+    """Non-negative 64-bit keys for the packed sort: empty, one key, keys at
+    2**64 - 1, repeats, and keys too wide to keep their low bits beside the
+    positions, some of whose truncated forms tie while the full keys differ,
+    interleaved by position (in one run, and in many)."""
+    top = np.uint64(2**64 - 1)
+    runs = rng.integers(0, 2**40, 300).astype(np.uint64) << np.uint64(24)
+    return [
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.uint64),
+        np.array([5]),
+        np.array([top], dtype=np.uint64),
+        np.array([top, 0, top - np.uint64(1), top, 0], dtype=np.uint64),
+        np.full(7, 2**63 - 1, dtype=np.int64),
+        rng.integers(0, 50, size=1000),
+        rng.integers(0, 2**62, size=500),
+        rng.integers(0, 2**63 - 1, size=3000, dtype=np.int64),
+        rng.integers(0, 2**64, size=300, dtype=np.uint64).repeat(3)[rng.permutation(900)],
+        np.uint64(0xABCDEF0000000000) + rng.integers(0, 1000, 1024).astype(np.uint64),
+        np.uint64(0xFFFF000000000000) + rng.integers(0, 3000, 5000).astype(np.uint64),
+        runs[rng.integers(0, 300, 20_000)] + rng.integers(0, 2**15, 20_000).astype(np.uint64),
+    ]
+
+
 class TestArrayBuildMatchesReference:
     """The array build against the edge-by-edge dict build in tests/naive.py."""
 
@@ -298,6 +322,48 @@ class TestArrayBuildMatchesReference:
             got_first, got_inverse = first_inverse(key)
             assert got_first.dtype == first.dtype and np.array_equal(got_first, first)
             assert got_inverse.dtype == inverse.dtype and np.array_equal(got_inverse, inverse)
+
+    def test_stable_order_and_first_inverse_match_numpy(self):
+        for key in _sort_keys(np.random.default_rng(17)):
+            expected = np.argsort(key, kind="stable")
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            for dtype in (np.intp, np.int32):
+                order = _stable_order(key, dtype)
+                assert order.dtype == dtype and np.array_equal(order, expected)
+                order, values = _stable_order(key, dtype, values=True)
+                assert order.dtype == dtype and np.array_equal(order, expected)
+                assert values.dtype == key.dtype and np.array_equal(values, key[expected])
+                got_first, got_inverse = first_inverse(key, dtype)
+                assert got_first.dtype == first.dtype and np.array_equal(got_first, first)
+                assert got_inverse.dtype == dtype and np.array_equal(got_inverse, inverse)
+
+    def test_truncated_ties_are_sorted_again(self):
+        # 64-bit keys leave their low bits to the positions: these keys tie once
+        # truncated, so only the second sort by the lost bits orders them
+        rng = np.random.default_rng(23)
+        key = np.uint64(0xABCDEF0000000000) + rng.integers(0, 1000, 1024).astype(np.uint64)
+        shift = int(key.max()).bit_length() + (key.size - 1).bit_length() - 64
+        assert shift > 0 and np.unique(key >> np.uint64(shift)).size < np.unique(key).size
+        assert not np.array_equal(np.argsort(key >> np.uint64(shift), kind="stable"), np.argsort(key, kind="stable"))
+        assert np.array_equal(_stable_order(key), np.argsort(key, kind="stable"))
+
+    def test_csr_rows_matches_the_argsort_build(self):
+        # random multigraphs with parallel edges, reversed copies and self-loops
+        rng = np.random.default_rng(29)
+        for directed in (False, True):
+            for _ in range(40):
+                n = int(rng.integers(2, 40))
+                m = int(rng.integers(1, 300))
+                src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+                if (src == dst).all():
+                    src[0], dst[0] = 0, 1
+                w = rng.integers(1, 9, m) / 8
+                u, v, merged, first, _ = _merge_parallel(src, dst, w, n, directed)
+                parts = [((u,), (v,)), ((v,), (u,))] if directed else [((u, v), (v, u))]
+                for rows, cols in parts:
+                    got = _csr_rows(rows, cols, merged, first, n)
+                    for a, b in zip(got, naive_csr_rows(rows, cols, merged, first, n)):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_gather_matches_a_loop_over_the_rows(self):
         rng = np.random.default_rng(13)

@@ -291,6 +291,22 @@ class TestArrayReaderMatchesLoop:
         assert bytereader.read_edge_list(head) is None
         assert_same_graph(parse_edge_list(head), head_reference)
 
+    def test_truncated_hash_ties_stay_in_arrays(self, monkeypatch):
+        # distinct labels whose hashes differ only in the low bits that the
+        # packed sort gives to positions: every hash ties once truncated
+        def fake_hash(buf, raw, lo, hi):
+            rank = {}
+            fields = [raw[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+            return np.array([0xFFFF_0000_0000_0000 | rank.setdefault(f, len(rank)) for f in fields], dtype=np.uint64)
+
+        rng = np.random.default_rng(41)
+        ends = rng.integers(0, 150, size=(600, 2)).tolist()
+        text = "undirected\nlone\n" + "".join(f"n{u}\tn{v}\t{w}\n" for (u, v), w in zip(ends, rng.integers(1, 9, 600)))
+        monkeypatch.setattr(bytereader, "_hash_fields", fake_hash)
+        graph = bytereader.read_edge_list(text)
+        assert graph is not None
+        assert_same_graph(graph, io._parse_lines(text))
+
     def test_long_label(self):
         long = "".join(map(chr, np.random.default_rng(3).integers(0x21, 0x7F, size=5000).tolist()))
         long = long.replace("#", "x")
@@ -327,6 +343,25 @@ class TestArrayReaderMatchesLoop:
         weights = bytereader._parse_weights(buf, raw, starts[good], ends[good])
         expected = np.array([float(texts[i]) for i in good])
         assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
+
+    def test_short_weights_read_from_one_word(self):
+        # fields of 1 to 8 bytes, mostly digits and points: the word reading
+        # takes digits with at most one point, as float() reads them, and
+        # leaves every other field to float()
+        rng = np.random.default_rng(9)
+        alphabet = list("0123456789" * 3 + "..e+- _\x0b") + ["\xe9"]
+        texts = ["".join(rng.choice(alphabet, size=int(rng.integers(1, 9)))) for _ in range(20_000)]
+        texts = [t for t in texts if len(t.encode()) <= 8]  # "\xe9" takes two bytes
+        raw = "\t".join(texts).encode()
+        buf = np.frombuffer(raw, dtype=np.uint8)
+        ends = np.append(np.flatnonzero(buf == 9), buf.size)
+        starts = np.append(0, ends[:-1] + 1)
+        values, ok = bytereader._word_digits(buf, raw, starts, ends - starts)
+        expected = [set(t) <= set("0123456789.") and t.count(".") <= 1 and t != "." for t in texts]
+        assert ok.tolist() == expected
+        read = np.array([float(t) for t, fast in zip(texts, expected) if fast])
+        assert np.array_equal(values[ok].view(np.int64), read.view(np.int64))
+        assert 3000 < ok.sum() < 17_000
 
     def test_merged_weight_overflow(self):
         for parse in (parse_edge_list, bytereader.read_edge_list, io._parse_lines):
@@ -365,6 +400,18 @@ class TestArrayReaderMatchesLoop:
         assert bytereader.read_edge_list(text) is None
         with pytest.raises(GraphBuildError, match="empty edge list"):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("undirected\nZ\nY\n", "found 2 bare-label lines with no tab (fields are tab-separated)"),
+        ("directed\n\n# a comment\n  A B 1  \nC\nD E\n",
+         "found 3 bare-label lines with no tab (fields are tab-separated); line 4 holds a space: 'A B 1'"),
+        ("undirected\nlone\n", "found 1 bare-label line with no tab (fields are tab-separated)"),
+    ])
+    def test_bare_labels_only_name_the_cause(self, text, message):
+        assert bytereader.read_edge_list(text) is None
+        with pytest.raises(GraphBuildError) as error:
+            parse_edge_list(text)
+        assert str(error.value) == "empty edge list: a graph needs at least one edge; " + message
 
     def test_whitespace_tables_match_str_strip(self):
         ascii_space = [c for c in range(128) if chr(c).isspace()]
