@@ -25,9 +25,6 @@ proportion to the graph rather than to the text:
   field position, with no sort.
 - Only the distinct labels become strings: one gather joins their bytes
   with tabs, then one decode and one split.
-- A weight of up to 8 bytes is read from one word: its digits and point
-  are checked and combined 8 bytes per numpy step. Longer weights of up to
-  15 digits are read a byte a step, and any other text by ``float()``.
 
 It returns None, leaving the document to the line-by-line reader in
 ``dcmetrics.io``, whenever that reader would raise, when the text holds a
@@ -53,12 +50,6 @@ _UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205
 _FNV_PRIME = np.uint64(0x100000001B3)
 _LENGTH_SEED = np.uint64(0x9E3779B97F4A7C15)  # times 1..8: eight different top bytes
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact
-# per-byte constants of the word reading of short weights; _TOP[k] marks a word's top k bytes
-_LOW7, _SIXES, _HIGH_NIBBLES = 0x7F7F_7F7F_7F7F_7F7F, 0x0606_0606_0606_0606, 0xF0F0_F0F0_F0F0_F0F0
-_TOP = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.uint64)
-_TOP_ZEROS = _TOP & np.uint64(0x3030_3030_3030_3030)  # "0" in each
-_TOP_POINTS = _TOP & np.uint64(0x1E1E_1E1E_1E1E_1E1E)  # "." ^ "0" in each
-_POINT_BITS = np.array([0x80 << 8 * k for k in range(8)], dtype=np.uint64)  # the top bit of byte k
 _LONG = 64  # labels up to this many bytes are hashed and compared in numpy, a word a step
 _BLOCK = 1 << 18  # bytes of whole lines that _layout reads at a time
 _FIELDS = 1 << 16  # fields hashed or compared at a time
@@ -222,71 +213,13 @@ def _parse_weights(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) 
     the CR of a CRLF line) is read in arrays: its digits d, k of them after
     the point, give d / 10**k. Both are exact doubles (d < 2**53, k <= 15),
     so that one correctly rounded division is the double ``float()`` reads.
-    Fields of up to 8 bytes are read from one word each, longer ones a byte
-    a step. Any other text goes through ``float()`` itself.
+    Any other text goes through ``float()`` itself.
     """
     length = hi - lo - (buf[hi - 1] == 13)  # hi - 1 is at least the tab
-    weights, fast = _word_digits(buf, raw, lo, np.minimum(length, 8))
-    fast &= (length >= 1) & (length <= 8)
-    long = np.flatnonzero((length > 8) & (length <= 16))
-    weights[long], fast[long] = _byte_digits(buf, lo[long], length[long])
-    slow = np.flatnonzero(~fast)
-    try:
-        weights[slow] = [float(raw[a:b].decode()) for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
-    except ValueError:
-        return None
-    return weights if np.all((weights > 0.0) & (weights < np.inf)) else None
-
-
-def _word_digits(buf: np.ndarray, raw: bytes, lo: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of the fields of up to 8 bytes at ``lo`` read as digits
-    with at most one point, and which fields are such (an empty field reads
-    as 0). Each field is read as the top bytes of one word, last byte
-    highest, with zero bytes below it: the leading zeros of an 8-digit
-    number. Each step works on 8 bytes: the digits become 0 to 9, then, in
-    the fields with another byte, the first point is cut out; the bytes are
-    checked and combined pairwise, in three multiply-adds."""
-    end = lo + length
-    w = _words(buf, raw)[np.maximum(end - 8, 0)]
-    w <<= (8 * np.maximum(8 - end, 0)).astype(np.uint8)  # a field in the text's first 8 bytes
-    w &= _TOP[length]
-    w ^= _TOP_ZEROS[length]  # a digit byte becomes its value
-    ok = _digit_bytes(w)
-    other = np.flatnonzero(~ok)
-    if other.size:  # a point, or a byte that sends the field to float()
-        x, size = w[other], length[other]
-        point = x ^ _TOP_POINTS[size]  # a point byte becomes 0
-        point = ~(((point & _LOW7) + _LOW7) | point | _LOW7) & _TOP[size]  # the top bit of each zero byte
-        point &= ~point + 1  # the first one's
-        x = (x & ~((point << 1) - 1)) | ((x & ((point >> 7) - 1)) << 8)
-        w[other] = x
-        ok[other] = _digit_bytes(x) & (point != 0) & (size > 1)
-        after = np.zeros(lo.size, dtype=np.intp)
-        after[other] = 7 - np.searchsorted(_POINT_BITS, point)
-    v = w * 10
-    v += w >> 8
-    v &= 0x00FF_00FF_00FF_00FF
-    w = v * 100
-    w += v >> 16
-    w &= 0x0000_FFFF_0000_FFFF
-    v = w * 10000
-    v += w >> 32
-    v &= 0xFFFF_FFFF
-    return (v / _POW10[after] if other.size else v.astype(np.float64)), ok
-
-
-def _digit_bytes(w: np.ndarray) -> np.ndarray:
-    """Whether every byte of each word is 0 to 9."""
-    return ((w + _SIXES) | w) & _HIGH_NIBBLES == 0
-
-
-def _byte_digits(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What ``_word_digits`` gives, for fields of 1 to 16 bytes, a byte a
-    step; a field needs 1 to 15 digits."""
     digits = np.zeros(lo.size, dtype=np.int64)
     point_at = np.full(lo.size, -1, dtype=np.int64)
-    ok = np.ones(lo.size, dtype=bool)
-    i = np.arange(lo.size)
+    fast = (length >= 1) & (length <= 16)
+    i = np.flatnonzero(fast)
     k = 0
     while i.size:
         byte = buf[lo[i] + k]
@@ -296,14 +229,20 @@ def _byte_digits(buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> tuple[n
         other = digit > 9
         if other.any():  # a first point, or a byte that sends the field to float()
             point = other & (byte == 46) & (point_at[i] < 0)
-            ok[i[other & ~point]] = False
+            fast[i[other & ~point]] = False
             point_at[i[point]] = k
             digits[i[point]] = before[point]
         k += 1
         i = i[length[i] > k]
     has_point = point_at >= 0
-    ok &= (length - has_point >= 1) & (length - has_point <= 15)
-    return digits / _POW10[np.where(has_point, length - 1 - point_at, 0)], ok
+    fast &= (length - has_point >= 1) & (length - has_point <= 15)
+    weights = digits / _POW10[np.where(has_point, length - 1 - point_at, 0)]
+    slow = np.flatnonzero(~fast)
+    try:
+        weights[slow] = [float(raw[a:b].decode()) for a, b in zip(lo[slow].tolist(), hi[slow].tolist())]
+    except ValueError:
+        return None
+    return weights if np.all((weights > 0.0) & (weights < np.inf)) else None
 
 
 def _intern_fields(buf: np.ndarray, raw: bytes, lo: np.ndarray, hi: np.ndarray) -> tuple | None:

@@ -22,9 +22,10 @@ generator with its integer arrays. The build guarantees:
   merged weight is bitwise the left-to-right float sum of its copies;
 - self-loops are dropped; both cleanups are counted in the BuildReport.
 
-Grouping and ordering take no argsort: ``_stable_order`` gives the stable
-order of integer keys from one in-place value sort of the keys with each
-element's position packed into their low bits. ``first_inverse`` groups
+Grouping and ordering go through one helper: ``_stable_order`` gives the
+stable order of integer keys from one in-place value sort of the keys with
+each element's position packed into their low bits (a few keys, where that
+sort's fixed cost shows, take ``np.argsort``). ``first_inverse`` groups
 the readers' label hashes, the parallel edges and the writer's endpoints
 with it; ``_csr_rows`` orders the entries with it, and ``baselines`` its
 triangle join.
@@ -319,22 +320,33 @@ def first_inverse(key: np.ndarray, dtype=np.intp) -> tuple[np.ndarray, np.ndarra
     return first, inverse
 
 
+# Below this many keys, np.argsort's stable sort beats the packed sort's
+# fixed cost of some ten numpy calls (96 keys: 4 against 7 us; 1,024: 31 against 19).
+_PACKED_FROM = 1024
+_SLICE = 1 << 16  # positions packed at a time: no key-sized temporary
+
+
 def _stable_order(key: np.ndarray, dtype=np.intp, values: bool = False):
     """``np.argsort(key, kind="stable")`` of non-negative 64-bit integer
     keys, as ``dtype``, and with ``values`` also ``key`` in that order.
 
-    One in-place value sort (about three times as fast as an argsort): each
-    key is shifted up and its position packed into the low bits, so the
-    sorted words break ties by position and hold the order in those bits.
-    Where key and position bits pass 64, the key's low bits give way to the
-    position; each run of tied truncated keys whose full keys differ is then
-    sorted again by the bits it lost (rare for hashes)."""
+    From _PACKED_FROM keys on, one in-place value sort (from 2,048 keys
+    three to eight times as fast as an argsort): each key is shifted up and
+    its position packed into the low bits, so the sorted words break ties
+    by position and hold the order in those bits. Where key and position
+    bits pass 64, the key's low bits give way to the position; each run of
+    tied truncated keys whose full keys differ is then sorted again by the
+    bits it lost (rare for hashes)."""
+    if key.size < _PACKED_FROM:
+        order = np.argsort(key, kind="stable").astype(dtype, copy=False)
+        return (order, key[order]) if values else order
     pos_bits = max(key.size - 1, 0).bit_length()
     shift = max(int(key.max(initial=0)).bit_length() + pos_bits - 64, 0)
     packed = key.astype(np.uint64)
     packed >>= shift
     packed <<= pos_bits
-    packed |= np.arange(key.size, dtype=np.uint64)
+    for at in range(0, key.size, _SLICE):
+        packed[at : at + _SLICE] |= np.arange(at, min(at + _SLICE, key.size), dtype=np.uint64)
     packed.sort()
     sorted_key = (packed >> pos_bits).view(key.dtype) if values and not shift else None
     packed &= (1 << pos_bits) - 1
@@ -363,15 +375,16 @@ def _csr_rows(
     """Read-only CSR with an entry (rows[k][e], cols[k][e], merged[e]) for
     each part k and pair e, rows ordered by first position. Positions are
     unique, so the order of the keys row * bound + position, in int64, is
-    that order; it is taken by ``_stable_order``, as int32 where the entry
-    count allows."""
+    that order; it is taken by ``_stable_order``, as int32 where the packed
+    sort takes it and the entry count allows (the argsort it takes on fewer
+    entries gives intp, which a conversion would only copy)."""
     bound = int(first.max(initial=0)) + 1
     keys = np.empty((len(rows), first.size), dtype=np.int64)
     for part, row in zip(keys, rows):
         np.multiply(row, bound, out=part, dtype=np.int64)
         part += first
-    order = _stable_order(keys.ravel(), np.int32 if keys.size < 2**31 else np.int64)
-    del keys
+    order = _stable_order(keys.ravel(), np.int32 if _PACKED_FROM <= keys.size < 2**31 else np.intp)
+    del keys, part  # the loop's last row view would keep keys alive
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(sum(np.bincount(row, minlength=n) for row in rows), out=indptr[1:])
     indices = np.concatenate(cols)[order].astype(np.int64, copy=False)

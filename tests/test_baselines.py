@@ -21,6 +21,7 @@ from dcmetrics import (
     eigenvector_centrality,
 )
 from conftest import random_graph
+import dcmetrics.graph as graph_module
 from dcmetrics import baselines
 from dcmetrics.stats import _block_diagonal
 from naive import (
@@ -513,12 +514,15 @@ class TestEgoBaselinesMatchReference:
             got = effective_size(g, weighted=weighted).values
             assert np.array_equal(_bits(got), _bits(naive_effective_size(g, weighted)))
 
+    @pytest.mark.parametrize("packed_from", [0, graph_module._PACKED_FROM])
     @pytest.mark.parametrize("cells", [None, 1, 5])
     @pytest.mark.parametrize("directed", [False, True])
-    def test_triangles_match_the_argsort_join(self, monkeypatch, directed, cells):
-        # random multigraphs: parallel edges, reversed copies and self-loops
+    def test_triangles_match_the_argsort_join(self, monkeypatch, directed, cells, packed_from):
+        # random multigraphs: parallel edges, reversed copies and self-loops;
+        # at packed_from 0 every sort in the join is the packed one
         if cells is not None:
             monkeypatch.setattr(baselines, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(graph_module, "_PACKED_FROM", packed_from)
         rng = np.random.default_rng(31)
         for _ in range(30):
             n = int(rng.integers(2, 30))

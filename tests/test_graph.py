@@ -3,6 +3,7 @@ import pytest
 
 from dcmetrics import GraphBuildError, ParseError, build_graph, is_connected, parse_edge_list, profile, validate
 from dcmetrics.datasets import DATASET_NAMES, builtin_dataset
+import dcmetrics.graph as graph_module
 from dcmetrics.graph import _csr_rows, _gather, _merge_parallel, _stable_order, first_inverse
 from conftest import assert_same_graph, random_graph
 from naive import naive_build_graph, naive_csr_rows, naive_edges, naive_is_connected
@@ -323,7 +324,13 @@ class TestArrayBuildMatchesReference:
             assert got_first.dtype == first.dtype and np.array_equal(got_first, first)
             assert got_inverse.dtype == inverse.dtype and np.array_equal(got_inverse, inverse)
 
-    def test_stable_order_and_first_inverse_match_numpy(self):
+    @pytest.mark.parametrize("packed_from", [0, graph_module._PACKED_FROM])
+    def test_stable_order_and_first_inverse_match_numpy(self, monkeypatch, packed_from):
+        # at 0 every key array, even an empty one, takes the packed sort, its
+        # positions packed in slices of 1,000 (a short last one included)
+        monkeypatch.setattr(graph_module, "_PACKED_FROM", packed_from)
+        if not packed_from:
+            monkeypatch.setattr(graph_module, "_SLICE", 1000)
         for key in _sort_keys(np.random.default_rng(17)):
             expected = np.argsort(key, kind="stable")
             _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -347,8 +354,13 @@ class TestArrayBuildMatchesReference:
         assert not np.array_equal(np.argsort(key >> np.uint64(shift), kind="stable"), np.argsort(key, kind="stable"))
         assert np.array_equal(_stable_order(key), np.argsort(key, kind="stable"))
 
-    def test_csr_rows_matches_the_argsort_build(self):
-        # random multigraphs with parallel edges, reversed copies and self-loops
+    @pytest.mark.parametrize("packed_from", [0, graph_module._PACKED_FROM])
+    def test_csr_rows_matches_the_argsort_build(self, monkeypatch, packed_from):
+        # random multigraphs with parallel edges, reversed copies and self-loops;
+        # at 0 every order is the packed sort's, its positions packed 7 at a time
+        monkeypatch.setattr(graph_module, "_PACKED_FROM", packed_from)
+        if not packed_from:
+            monkeypatch.setattr(graph_module, "_SLICE", 7)
         rng = np.random.default_rng(29)
         for directed in (False, True):
             for _ in range(40):

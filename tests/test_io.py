@@ -344,25 +344,6 @@ class TestArrayReaderMatchesLoop:
         expected = np.array([float(texts[i]) for i in good])
         assert np.array_equal(weights.view(np.int64), expected.view(np.int64))
 
-    def test_short_weights_read_from_one_word(self):
-        # fields of 1 to 8 bytes, mostly digits and points: the word reading
-        # takes digits with at most one point, as float() reads them, and
-        # leaves every other field to float()
-        rng = np.random.default_rng(9)
-        alphabet = list("0123456789" * 3 + "..e+- _\x0b") + ["\xe9"]
-        texts = ["".join(rng.choice(alphabet, size=int(rng.integers(1, 9)))) for _ in range(20_000)]
-        texts = [t for t in texts if len(t.encode()) <= 8]  # "\xe9" takes two bytes
-        raw = "\t".join(texts).encode()
-        buf = np.frombuffer(raw, dtype=np.uint8)
-        ends = np.append(np.flatnonzero(buf == 9), buf.size)
-        starts = np.append(0, ends[:-1] + 1)
-        values, ok = bytereader._word_digits(buf, raw, starts, ends - starts)
-        expected = [set(t) <= set("0123456789.") and t.count(".") <= 1 and t != "." for t in texts]
-        assert ok.tolist() == expected
-        read = np.array([float(t) for t, fast in zip(texts, expected) if fast])
-        assert np.array_equal(values[ok].view(np.int64), read.view(np.int64))
-        assert 3000 < ok.sum() < 17_000
-
     def test_merged_weight_overflow(self):
         for parse in (parse_edge_list, bytereader.read_edge_list, io._parse_lines):
             with pytest.raises(GraphBuildError, match="'A' -> 'B'.*non-finite weight inf"):
