@@ -36,7 +36,7 @@ from .distinctiveness import (
 )
 from .errors import DCMetricsError
 from .graph import Graph, profile
-from .io import ResultTable, parse_edge_list, parse_gexf_minimal, write_edge_list
+from .io import ResultTable, _blocks, _csv_cells, parse_edge_list, parse_gexf_minimal, write_edge_list
 
 
 def _deferred(module: str, name: str):
@@ -219,9 +219,13 @@ def _cmd_rank(args) -> int:
     ranking = rank(vec, tie_rule=args.tie_rule)
     order = np.argsort(ranking.ranks, kind="stable")  # ties keep node order
     labels = [ranking.labels[i] for i in order.tolist()]
-    rows = zip(ranking.ranks[order].tolist(), labels, vec.values[order].tolist())
-    template = ("%d" if args.tie_rule == "competition" else "%.17g") + ",%s,%.6g"
-    _emit(args, ["\n".join(["rank,node,score", *map(template.__mod__, rows)]) + "\n"])
+    ranks, scores = ranking.ranks[order].tolist(), np.asarray(vec.values, dtype=np.float64)[order]
+    template = ("%d" if args.tie_rule == "competition" else "%.17g") + ",%s%s"
+    blocks = ["rank,node,score\n"]
+    for part in _blocks(len(labels)):
+        rows = zip(ranks[part], labels[part], _csv_cells(scores[part, None]))
+        blocks.append("".join(map(template.__mod__, rows)))
+    _emit(args, blocks)
     return 0
 
 

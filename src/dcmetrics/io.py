@@ -35,10 +35,27 @@ raise (any ParseError, a bare CR, no edges), when the text holds a
 whitespace character above U+007F (``str.strip`` removes those, byte
 stripping would not), and on a hash collision, so errors, messages and
 line numbers are the loop's.
+
+CSV cells are the bytes of ``"%.6g" % x``, made in arrays a block of rows
+at a time (``_csv_cells``), by the fixed-precision argument of Adams,
+"Ryu Revisited: printf Floating Point Conversion" (OOPSLA 2019): scale
+once by an exact power of ten, and leave near-ties to the exact routine.
+Each cell's exponent e is ``floor(log10|x|)``, and ``s = |x| * 10**(5 - e)``
+comes from one multiply or divide by an exact power of ten
+(``|5 - e| <= 22``), so ``s`` is the exact product rounded once: within
+2**-33 of it while ``s < 2**20``. Where ``|s - r| < 0.5 - 1e-9`` for
+``r = rint(s)``, r is the exact product's rounding, and where also
+``s >= 1e5`` and ``r <= 1e6`` it is the six digits the correctly rounded
+``%`` gives at exponent e (1e6: 100000 at e + 1), whatever the last bits
+of ``log10`` (an e one off leaves s outside that range, or at 1e5 or 1e6
+where both exponents give the same text). The cells this cannot prove go
+to ``%`` one at a time: NaN, +-inf, ``|x|`` outside [1e-16, 1e21)
+(subnormals included), and near-ties. Zeros are written in arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -303,17 +320,22 @@ class ResultTable:
 
     def csv_blocks(self) -> Iterator[str]:
         """The text of ``to_csv``: the header line, then blocks of
-        _BLOCK_ROWS rows, each ending in LF. A block formats its rows from
-        ``tolist()`` slices of the columns through one %-template;
-        ``"%.6g" % x`` gives the same text as ``format(x, ".6g")`` for every
-        float, nan and inf included."""
+        _BLOCK_ROWS rows, each ending in LF. Each cell is ``"%.6g" % x``
+        (the text of ``format(x, ".6g")``, nan and inf included), made in
+        arrays for a block's whole (rows, columns) matrix by ``_csv_cells``;
+        only the cells it cannot prove (NaN, +-inf, ``|x|`` outside
+        [1e-16, 1e21), near-ties) are formatted by ``%`` one at a time. The
+        labels are joined to the cells in Python, so they never pass
+        through bytes. A table with no columns has ``label,`` rows."""
         names = [name for name, _ in self.columns]
         values = [np.asarray(vals, dtype=np.float64) for _, vals in self.columns]
-        template = "%s," + ",".join(["%.6g"] * len(names))
         yield "node," + ",".join(names) + "\n"
         for part in _blocks(len(self.labels)):
-            rows = zip(self.labels[part], *(v[part].tolist() for v in values))
-            yield "\n".join(map(template.__mod__, rows)) + "\n"
+            labels = self.labels[part]
+            cells = _csv_cells(np.column_stack([v[part] for v in values])) if values else [",\n"] * len(labels)
+            rows = [""] * (2 * len(labels))  # one join of labels and cells, no string per row
+            rows[0::2], rows[1::2] = labels, cells
+            yield "".join(rows)
 
     def to_csv(self) -> str:
         """CSV with 6-significant-digit cells, ',' separators, LF endings."""
@@ -347,6 +369,108 @@ class ResultTable:
 def _blocks(size: int) -> Iterator[slice]:
     """Slices of _BLOCK_ROWS items that cover ``size`` items."""
     return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, size, _BLOCK_ROWS))
+
+
+# the decimal exponents of a cell that _csv_cells formats, after rounding:
+# |x| in [1e-16, 1e21), with one to spare at each end for floor(log10)
+_EXP_LO = -17
+_EXP_COUNT = 40
+
+
+@functools.cache
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_csv_cells``, made by numpy at first use.
+
+    ``digits[k]`` is the three ASCII digits of k < 1000 as a little-endian
+    word; ``nd_lo[lo]`` and ``nd_hi[hi]`` give the significant digits of
+    ``hi * 1000 + lo`` once trailing zeros go (the larger of the two; a
+    zero has none). ``mul[e]`` and ``div[e]``, for the exponent e at
+    index ``e - _EXP_LO``, are the exact powers of ten whose product and
+    quotient scale ``|x|`` to six integer digits. A cell's kind is its
+    sign, exponent and significant digits, ``(sign * _EXP_COUNT + e -
+    _EXP_LO) * 7 + nd``; for each kind, ``word_lo`` and ``word_hi`` hold the
+    16 bytes of its text other than the digits (",", "-", "0.00", the
+    point, "e+05"), NUL where the digits go, ``head`` and ``tail`` mask
+    the digits before and after the point (``tail`` already moved up a
+    byte, past the point), and ``shift`` is the bit offset of the first
+    digit. A kind whose nd is 0 is a zero, written "0"."""
+    k = np.arange(1000)
+    digits = ((48 + k // 100) | (48 + k // 10 % 10) << 8 | (48 + k % 10) << 16).astype(np.uint64)
+    zeros = (k % 10 == 0).astype(np.intp) + (k % 100 == 0) + (k == 0)
+    nd_lo, nd_hi = np.where(k == 0, 0, 6 - zeros), 3 - zeros
+    scale = 5 - np.arange(_EXP_LO, _EXP_LO + _EXP_COUNT)
+    powers = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 1e0..1e22, each exact
+    mul, div = powers[np.maximum(scale, 0)], powers[np.maximum(-scale, 0)]
+
+    neg, e, nd = np.indices((2, _EXP_COUNT, 7)).reshape(3, -1, 1)
+    e = np.where(nd == 0, 0, e + _EXP_LO)
+    expo = (e < -4) | (e > 5)  # %g's exponent form
+    small = ~expo & (e < 0)  # "0.", -e - 1 zeros, then the digits
+    head = np.where(expo, 1, np.where(small, nd, e + 1))  # digits before the point
+    shown = np.where(small, nd, np.maximum(nd, head))  # the integer digits are never stripped
+    point = shown > head
+    first = 1 + neg + np.where(small, 1 - e, 0)  # byte offset of the first digit
+    at = first + shown + point  # where the exponent goes
+    col = np.arange(16)
+    text = np.select(  # the first condition that holds gives the byte
+        [col == 0, col == neg, small & (col == neg + 2), (col > neg) & (col < first), point & (col == first + head),
+         expo & (col == at), expo & (col == at + 1), expo & (col == at + 2), expo & (col == at + 3)],
+        [ord(","), ord("-"), ord("."), ord("0"), ord("."),
+         ord("e"), np.where(e < 0, ord("-"), ord("+")), 48 + abs(e) // 10, 48 + abs(e) % 10],
+    ).astype(np.uint8)
+    words = text.view("<u8").astype(np.uint64)
+    head_mask = (np.uint64(1) << (8 * head.ravel()).astype(np.uint64)) - np.uint64(1)
+    tail_mask = ((np.uint64(1) << (8 * shown.ravel()).astype(np.uint64)) - np.uint64(1) - head_mask) << np.uint64(8)
+    return (digits, nd_lo, nd_hi, mul, div, words[:, 0].copy(), words[:, 1].copy(), head_mask, tail_mask,
+            (8 * first.ravel()).astype(np.uint64))
+
+
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """The cells of each row of a (rows, columns) float64 matrix with at
+    least one column, one string per row, ending in LF: ``"".join("," +
+    "%.6g" % x for x in row) + "\\n"``.
+
+    Each cell is two little-endian words, its text, NUL-padded: the kind's
+    constant bytes from ``_cell_tables`` with the six digits of
+    ``rint(|x| * 10**(5 - e))`` (see the module docstring) laid in from
+    the three-digit table, the stripped trailing zeros masked out. One
+    ``translate`` drops the NULs of the whole matrix, and the last byte of
+    each row's last cell, never used by a cell's text (14 bytes at most),
+    is the LF that splits the rows. Zeros are written in arrays; the cells
+    the arrays cannot prove go through ``_percent_cells``."""
+    digits, nd_lo, nd_hi, mul, div, word_lo, word_hi, head, tail, shift = _cell_tables()
+    a = np.abs(values)
+    fast = (a >= 1e-16) & (a < 1e21)
+    a = np.where(fast, a, 1.0)  # log10 never sees 0, nan or inf
+    e = np.clip(np.floor(np.log10(a)), _EXP_LO, _EXP_LO + _EXP_COUNT - 2).astype(np.intp) - _EXP_LO
+    s = a * mul[e] / div[e]  # one of the two is 1.0: one rounding
+    r = np.rint(s)
+    fast &= np.abs(s - r) < 0.5 - 1e-9  # then r is the exact product's rounding
+    fast &= (s >= 1e5) & (r <= 1e6)  # six digits, or 10**6 at a carry, whatever e log10 gave
+    r *= fast  # zeros, and the cells left to %, read as 0
+    carry = r == 1e6  # 10**6 is 100000 at the next exponent
+    e += carry
+    r -= 9e5 * carry
+    hi = (r * 0.001).astype(np.intp)  # 0.001 rounds up, so the truncation is exact
+    lo = r.astype(np.intp) - 1000 * hi
+    kind = np.maximum(nd_lo[lo], nd_hi[hi])
+    kind += 7 * e + 7 * _EXP_COUNT * np.signbit(values)
+    six = digits[hi] | digits[lo] << 24
+    six = six & head[kind] | (six << 8) & tail[kind]
+    at = shift[kind]
+    cells = np.empty(values.shape + (2,), "<u8")
+    np.bitwise_or(word_lo[kind], six << at, out=cells[..., 0])
+    np.bitwise_or(word_hi[kind], six >> (64 - at), out=cells[..., 1])
+    slow = np.nonzero(~fast & (values != 0))
+    if slow[0].size:
+        cells[slow] = np.frombuffer(_percent_cells(values[slow].tolist()), "<u8").reshape(-1, 2)
+    cells[:, -1, 1] |= ord("\n") << 56
+    return cells.tobytes().translate(None, b"\0").decode("ascii").splitlines(keepends=True)
+
+
+def _percent_cells(values: list[float]) -> bytes:
+    """The cells of ``values`` by ``%``, 16 NUL-padded bytes each."""
+    return b"".join(("," + "%.6g" % x).encode().ljust(16, b"\0") for x in values)
 
 
 def _json_array(parts: Iterator[list[str]], indent: int) -> Iterator[str]:

@@ -31,6 +31,7 @@ from dcmetrics import (
     baseline,
     spearman,
 )
+from dcmetrics import io
 from dcmetrics.distinctiveness import _adjacency_view, _resolve_direction
 from dcmetrics.baselines import _BLOCK_CELLS
 from dcmetrics.graph import _entry_rows, _gather, graph_from_arrays, segment_sum
@@ -651,6 +652,20 @@ def naive_to_csv(table):
         cells = ",".join(f"{vals[i]:.6g}" for _, vals in table.columns)
         lines.append(f"{lab},{cells}")
     return "\n".join(lines) + "\n"
+
+
+def naive_csv_blocks(table):
+    """Byte reference for ``ResultTable.csv_blocks``, block for block: its
+    earlier loop, which formats each row of a block through one
+    %-template from ``tolist()`` slices of the columns."""
+    names = [name for name, _ in table.columns]
+    values = [np.asarray(vals, dtype=np.float64) for _, vals in table.columns]
+    template = "%s," + ",".join(["%.6g"] * len(names))
+    yield "node," + ",".join(names) + "\n"
+    for lo in range(0, len(table.labels), io._BLOCK_ROWS):
+        part = slice(lo, lo + io._BLOCK_ROWS)
+        rows = zip(table.labels[part], *(v[part].tolist() for v in values))
+        yield "\n".join(map(template.__mod__, rows)) + "\n"
 
 
 def naive_write_edge_list(graph):

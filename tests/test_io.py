@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 import time
 import tracemalloc
 from pathlib import Path
@@ -25,7 +26,7 @@ from dcmetrics import (
 from dcmetrics import bytereader, io
 from dcmetrics.io import GexfFeatureWarning, ResultTable
 from conftest import assert_same_graph
-from naive import naive_build_graph, naive_to_csv, naive_write_edge_list
+from naive import naive_build_graph, naive_csv_blocks, naive_to_csv, naive_write_edge_list
 
 
 class TestEdgeList:
@@ -737,6 +738,74 @@ class TestResultTableBlocks:
         vectors = list(all_distinctiveness(toy, alpha=2).values())
         table = ResultTable.from_vectors(vectors)
         assert all(vals is vec.values for (_, vals), vec in zip(table.columns, vectors))
+
+
+def _percent_rows(values):
+    """What ``_csv_cells`` must give: each row's cells by ``%``."""
+    return ["".join("," + "%.6g" % x for x in row) + "\n" for row in values.tolist()]
+
+
+_POWERS = [float(f"1e{k}") for k in range(-20, 23)]
+_HARD_CELLS = {
+    "powers of ten and their neighbours": [
+        x for p in _POWERS for x in (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))],
+    # ties at the sixth digit where (m + 0.5) * 10**k is exact, near-ties elsewhere
+    "halves": [(m + 0.5) * 10.0**k for m in (0, 1, 99_999, 100_000, 123_455, 123_456, 999_998)
+               for k in range(-20, 17)] + [999_999.5 * 10.0**k for k in range(-22, 17)],
+    "extremes": [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                 math.nan, -math.nan, math.inf, -math.inf],
+}
+
+
+class TestCsvCells:
+    """``_csv_cells`` against ``"%.6g" %``, cell for cell, and ``csv_blocks``
+    against the %-template block loop it replaced."""
+
+    def test_bit_patterns(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        bits = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+        cells = st.one_of(bits, st.floats(), st.floats(1e-16, 1e21), st.floats(-1e21, -1e-16))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(xs=st.lists(cells, min_size=1, max_size=40), columns=st.integers(1, 4))
+        def same_text(xs, columns):
+            values = np.array(xs).reshape(-1, columns if len(xs) % columns == 0 else 1)
+            assert io._csv_cells(values) == _percent_rows(values)
+
+        same_text()
+
+    @pytest.mark.parametrize("block_rows", [1, 3, io._BLOCK_ROWS])
+    @pytest.mark.parametrize("name", sorted(_HARD_CELLS))
+    def test_hard_cells(self, monkeypatch, name, block_rows):
+        values = np.array(_HARD_CELLS[name])
+        assert io._csv_cells(values[:, None]) == _percent_rows(values[:, None])
+        monkeypatch.setattr(io, "_BLOCK_ROWS", block_rows)
+        awkward = ("Zürich", "\x00", "\u2028", "a,b", "😀")
+        labels = tuple(awkward[i] if i < len(awkward) else f"n{i}" for i in range(values.size))
+        table = ResultTable(labels, (("d1@1", values), ("d3-in@2:norm", -values[::-1])))
+        assert list(table.csv_blocks()) == list(naive_csv_blocks(table))
+
+    def test_ordinary_scores_take_the_arrays(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError(f"cells left to %: {values}")
+
+        tables = [ResultTable.from_vectors(list(all_distinctiveness(builtin_dataset(name), alpha=alpha).values()))
+                  for name in ("florentine", "zachary") for alpha in (1, 2)]
+        expected = [naive_to_csv(table) for table in tables]
+        monkeypatch.setattr(io, "_percent_cells", refuse)
+        assert [table.to_csv() for table in tables] == expected
+
+    def test_exponent_one_off(self, monkeypatch):
+        """A log10 that misses by far more than its last bits changes no
+        cell: an exponent one off leaves a cell outside the proven range,
+        or at 1e5 or 1e6, where both exponents write the same text."""
+        rng = np.random.default_rng(3)
+        k = rng.integers(-16, 21, 20_000)
+        values = 10.0**k * (1 + rng.uniform(-1e-5, 1e-5, k.size)) * rng.choice([-1.0, 1.0], k.size)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + rng.uniform(-5e-6, 5e-6, a.shape))
+        assert io._csv_cells(values.reshape(-1, 2)) == _percent_rows(values.reshape(-1, 2))
 
 
 class TestParseMemory:
