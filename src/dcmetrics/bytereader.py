@@ -45,8 +45,8 @@ __all__ = ["read_edge_list"]
 # the bytes str.strip removes from ASCII text
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-# the characters above U+007F that str.strip removes
-_UNICODE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+# the characters above U+007F that str.strip removes (compiled by the first search of a non-ASCII text)
+_UNICODE_SPACE = "[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
 _FNV_PRIME = np.uint64(0x100000001B3)
 _LENGTH_SEED = np.uint64(0x9E3779B97F4A7C15)  # times 1..8: eight different top bytes
 _POW10 = np.array([float(10**k) for k in range(16)])  # exact
@@ -58,7 +58,7 @@ _FIELDS = 1 << 16  # fields hashed or compared at a time
 def read_edge_list(text: str) -> Graph | None:
     """The Graph ``io._parse_lines`` builds from ``text``, or None for a
     document this reader leaves to that loop."""
-    if (not text.isascii() and _UNICODE_SPACE.search(text)) or ("\r" in text and _BARE_CR.search(text)):
+    if (not text.isascii() and re.search(_UNICODE_SPACE, text)) or ("\r" in text and re.search(_BARE_CR, text)):
         return None
     try:
         raw = text.encode()

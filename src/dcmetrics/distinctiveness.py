@@ -18,12 +18,11 @@ for a given graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, _entry_rows, _gather, segment_sum
+from .graph import Graph, Record, _entry_rows, _gather, segment_sum
 
 METRICS = ("d1", "d2", "d3", "d4", "d5")
 DIRECTIONS = ("undirected", "in", "out")
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(Record):
     """Identifies one scored quantity: which metric, at which alpha, which direction."""
 
     metric: str
@@ -75,8 +73,7 @@ class MetricSpec:
             raise ValueError(f"alpha must be >= 1 (pass relaxed_alpha=True to explore 0 < alpha < 1), got {a}")
 
 
-@dataclass(frozen=True, eq=False)
-class CentralityVector:
+class CentralityVector(Record, eq=False):
     """Per-node scores for one metric, plus which nodes were scored 0 as isolates."""
 
     metric: str
@@ -107,8 +104,7 @@ class CentralityVector:
         return self.as_dict().items()
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(Record):
     """Analytic (lower, upper) envelope for one metric at given n, weight range, alpha."""
 
     metric: str
@@ -426,7 +422,8 @@ def normalize(vector: CentralityVector, record: BoundsRecord) -> CentralityVecto
     span = record.upper - record.lower
     if span <= 0:
         raise ValueError(f"degenerate bounds (upper == lower == {record.upper:g}), cannot normalize")
-    return replace(vector, values=(vector.values - record.lower) / span, normalized=True)
+    values = (vector.values - record.lower) / span
+    return CentralityVector(vector.metric, vector.alpha, vector.direction, vector.labels, values, vector.isolates, True)
 
 
 def negative_contribution_threshold(n: int, alpha: float = 1.0) -> float:

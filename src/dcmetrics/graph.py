@@ -29,12 +29,21 @@ sort's fixed cost shows, take ``np.argsort``). ``first_inverse`` groups
 the readers' label hashes, the parallel edges and the writer's endpoints
 with it; ``_csr_rows`` orders the entries with it, and ``baselines`` its
 triangle join.
+
+The package's records (``BuildReport``, ``Graph``, ``DegreeProfile``,
+``ValidationReport`` here, and those of ``distinctiveness``, ``io`` and
+``stats``) are subclasses of ``Record``: a class lists its fields as
+annotations, with defaults as class attributes, and gets what a frozen
+dataclass would give it (construction by position or keyword,
+``__post_init__``, refused assignment and deletion, a repr, ``==`` and
+``hash`` over the fields, or identity with ``eq=False``), from methods that
+read the field names the class stored once. Unlike ``dataclasses``, it
+writes and compiles no code when the package is imported.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count
 
@@ -48,16 +57,87 @@ __all__ = ["Graph", "BuildReport", "DegreeProfile", "ValidationReport",
 Edge = tuple[str, str, float]
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class Record:
+    """Base of an immutable record whose fields are its class's annotations,
+    in order; a class attribute of a field's name is its default. What a
+    wrong call, an assignment or a deletion raises, and the repr, are those
+    of a frozen dataclass."""
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._required = len(cls._fields) - len(cls._defaults)  # fields with defaults come last, as in a dataclass
+        cls._tail = tuple(cls._defaults.values())
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or not self._required <= len(args) <= len(names):
+            args = self._bind(args, kwargs)
+        elif len(args) < len(names):
+            args += self._tail[len(args) - len(names):]
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in field order, from the arguments and the defaults."""
+        names, defaults = cls._fields, cls._defaults
+        call = f"{cls.__qualname__}.__init__()"
+        if len(args) > len(names):
+            most = len(names) + 1  # self counts, as in the interpreter's message
+            takes = f"from {most - len(defaults)} to {most}" if defaults else most
+            raise TypeError(f"{call} takes {takes} positional arguments but {len(args) + 1} were given")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{call} got multiple values for argument {name!r}")
+        values = {**defaults, **values, **kwargs}
+        missing = [repr(name) for name in names if name not in values]
+        if missing:
+            *head, last = missing
+            listed = f"{', '.join(head)}{',' if len(head) > 1 else ''} and {last}" if head else last
+            plural = "s" if head else ""
+            raise TypeError(f"{call} missing {len(missing)} required positional argument{plural}: {listed}")
+        return [values[name] for name in names]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class BuildReport(Record):
     """What construction had to clean up: merged parallels and dropped self-loops."""
 
     merged_edges: int = 0
     self_loops_dropped: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(Record, eq=False):
     """Weighted graph, directed or undirected, immutable after construction.
 
     ``indptr``/``indices``/``weights`` hold the out-adjacency in CSR form,
@@ -75,7 +155,7 @@ class Graph:
     in_indptr: np.ndarray
     in_indices: np.ndarray
     in_weights: np.ndarray
-    build_report: BuildReport = field(default_factory=BuildReport)
+    build_report: BuildReport = BuildReport()
 
     @property
     def n(self) -> int:
@@ -153,8 +233,7 @@ class Graph:
             return s / 2.0 if np.isfinite(s) else float((self.weights / 2.0).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeProfile:
+class DegreeProfile(Record, eq=False):
     """Per-node degrees and strengths plus the global quantities every
     metric needs: node count, extremal weights, total weight. On an
     undirected graph each ``in_*`` array is its ``out_*`` array, the
@@ -437,8 +516,7 @@ def profile(graph: Graph) -> DegreeProfile:
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Advisory flags; none of these are errors.
 
     ``sub_unit_weight_edges`` lists edges with weight < 1 (the analytic

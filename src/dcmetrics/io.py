@@ -60,13 +60,12 @@ import math
 import re
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distinctiveness import CentralityVector
 from .errors import GraphBuildError, ParseError
-from .graph import Graph, _intern, _require_edges, build_graph, first_inverse, graph_from_arrays
+from .graph import Graph, Record, _intern, _require_edges, build_graph, first_inverse, graph_from_arrays
 
 __all__ = [
     "parse_edge_list",
@@ -77,10 +76,11 @@ __all__ = [
 ]
 
 
-_BARE_CR = re.compile(r"\r(?!\n)")
+# patterns of rare inputs, compiled by their first search, not at import
+_BARE_CR = r"\r(?!\n)"
 _BLOCK_ROWS = 8192  # table rows (JSON: list items) per block of text; 0.4 MB of CSV at five columns
 # a label the reader cannot give back (re's \s is str.isspace)
-_UNWRITABLE = re.compile(r"[\t\n\r]|\A[#\s]|\s\Z")
+_UNWRITABLE = r"[\t\n\r]|\A[#\s]|\s\Z"
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -100,7 +100,7 @@ def _parse_lines(text: str) -> Graph:
     targets: list[str] = []
     weights: list[float] = []
     declared: list[str] = []
-    bare_cr = _BARE_CR.search(text)
+    bare_cr = re.search(_BARE_CR, text)
     if bare_cr:
         lineno = text.count("\n", 0, bare_cr.start()) + 1
         raise ParseError("carriage return without a line feed: lines end at LF or CRLF", lineno)
@@ -183,7 +183,7 @@ def write_edge_list(graph: Graph) -> str:
     or ending with whitespace (which ``str.strip`` removes).
     """
     _require_edges(graph)
-    bad = next(filter(_UNWRITABLE.search, graph.nodes), None)
+    bad = next(filter(re.compile(_UNWRITABLE).search, graph.nodes), None)
     if bad is not None:
         raise ValueError(
             f"node label {bad!r} cannot be written to an edge list: labels must not hold "
@@ -296,8 +296,7 @@ def _column_name(vector: CentralityVector) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ResultTable:
+class ResultTable(Record):
     """Scores laid out nodes-by-metrics; column order is insertion order,
     node order is graph order. Each column is a name and a float64 array
     of scores (``from_vectors`` keeps the vectors' arrays, not copies)."""

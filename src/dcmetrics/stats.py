@@ -9,7 +9,7 @@ closeness share one search per graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import _hop_paths, _power_stack, baseline
 from .distinctiveness import METRICS, TIE_RULES, CentralityVector, MetricSpec, _scores, all_distinctiveness
 from .generators import GeneratorParams, barabasi_albert
-from .graph import Graph
+from .graph import Graph, Record
 
 __all__ = [
     "TIE_RULES",
@@ -48,8 +48,7 @@ SWEEP_BASELINES = (
 _CHUNK = 8
 
 
-@dataclass(frozen=True, eq=False)
-class RankVector:
+class RankVector(Record, eq=False):
     """Per-node ranks, descending by score (rank 1 = highest score)."""
 
     metric: str
@@ -156,8 +155,7 @@ def spearman(x: CentralityVector, y: CentralityVector) -> float:
     return float(_rho_matrix(rx, _ranked(yv[None, :]))[0, 0])
 
 
-@dataclass(frozen=True)
-class CorrelationSweep:
+class CorrelationSweep(Record):
     """Mean Spearman correlation of every (DC metric, baseline) pair across a
     seeded graph ensemble, at each alpha."""
 

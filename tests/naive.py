@@ -13,26 +13,24 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
+import dcmetrics
 from dcmetrics import (
     METRICS,
-    BuildReport,
-    CentralityVector,
     ConvergenceError,
     DisconnectedGraphError,
-    Graph,
     GraphBuildError,
-    MetricSpec,
     all_distinctiveness,
     barabasi_albert,
     baseline,
     spearman,
 )
 from dcmetrics import io
-from dcmetrics.distinctiveness import _adjacency_view, _resolve_direction
+from dcmetrics.distinctiveness import DIRECTIONS, _adjacency_view, _resolve_direction
 from dcmetrics.baselines import _BLOCK_CELLS
 from dcmetrics.graph import _entry_rows, _gather, graph_from_arrays, segment_sum
 
@@ -92,8 +90,8 @@ def naive_build_graph(edges, directed=False, nodes=()):
 
     out = to_csr(out_adj)
     # an undirected graph's in-adjacency is its out-adjacency
-    return Graph(tuple(labels), directed, *out, *(to_csr(in_adj) if directed else out),
-                 build_report=BuildReport(merged_edges=merged, self_loops_dropped=self_loops))
+    return dcmetrics.Graph(tuple(labels), directed, *out, *(to_csr(in_adj) if directed else out),
+                           build_report=dcmetrics.BuildReport(merged_edges=merged, self_loops_dropped=self_loops))
 
 
 def naive_edges(graph):
@@ -205,7 +203,7 @@ def naive_degree_distinctiveness(graph, alpha, direction=None, relaxed_alpha=Fal
     negative power (d5) patched into the entries where it overflows."""
     direction = _resolve_direction(graph, direction)
     for m in metrics:
-        MetricSpec(m, alpha, direction, relaxed_alpha)
+        dcmetrics.MetricSpec(m, alpha, direction, relaxed_alpha)
     alpha = float(alpha)
     indptr, indices, weights, nbr_degree, _, _ = _adjacency_view(graph, direction)
     n = graph.n
@@ -224,7 +222,7 @@ def naive_degree_distinctiveness(graph, alpha, direction=None, relaxed_alpha=Fal
         if not np.isfinite(values).all():
             node = graph.nodes[np.flatnonzero(~np.isfinite(values))[0]]
             raise ValueError(f"{metric} of node {node!r} overflows float64 at alpha={alpha:g} ({direction})")
-        return CentralityVector(metric, alpha, direction, graph.nodes, values, graph.isolates())
+        return dcmetrics.CentralityVector(metric, alpha, direction, graph.nodes, values, graph.isolates())
 
     out = {}
     if "d1" in metrics or "d2" in metrics:
@@ -718,3 +716,145 @@ def naive_compare_csv(graph, dc_names, base_names, alpha, directions, weighted):
     for i, vx in enumerate(vectors):
         lines.append(names[i] + "," + ",".join(f"{spearman(vx, vy):.6g}" for vy in vectors))
     return "\n".join(lines) + "\n"
+
+
+# The package's records as frozen dataclasses, the definitions ``graph.Record``
+# replaced: fields, defaults, ``__post_init__`` checks and cached properties.
+# Their other methods are unchanged in the package. Each has the package
+# class's name, so that reprs and error messages compare equal.
+
+
+@dataclass(frozen=True)
+class BuildReport:
+    merged_edges: int = 0
+    self_loops_dropped: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    nodes: tuple[str, ...]
+    directed: bool
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+    in_indptr: np.ndarray
+    in_indices: np.ndarray
+    in_weights: np.ndarray
+    build_report: BuildReport = field(default_factory=BuildReport)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return dict(zip(self.nodes, range(len(self.nodes))))
+
+
+@dataclass(frozen=True, eq=False)
+class DegreeProfile:
+    labels: tuple[str, ...]
+    directed: bool
+    out_degree: np.ndarray
+    in_degree: np.ndarray
+    out_strength: np.ndarray
+    in_strength: np.ndarray
+    n: int
+    edge_count: int
+    min_weight: float
+    max_weight: float
+    total_weight: float
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    sub_unit_weight_edges: tuple[tuple[str, str, float], ...]
+    connected: bool
+    isolated_nodes: tuple[str, ...]
+    weight_homogeneous: bool
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    metric: str
+    alpha: float = 1.0
+    direction: str = "undirected"
+    relaxed_alpha: bool = False
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}, expected one of {DIRECTIONS}")
+        a = float(self.alpha)
+        if not math.isfinite(a):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if self.relaxed_alpha:
+            if a <= 0:
+                raise ValueError(f"alpha must be > 0 in relaxed mode, got {a}")
+        elif a < 1:
+            raise ValueError(f"alpha must be >= 1 (pass relaxed_alpha=True to explore 0 < alpha < 1), got {a}")
+
+
+@dataclass(frozen=True, eq=False)
+class CentralityVector:
+    metric: str
+    alpha: float | None
+    direction: str
+    labels: tuple[str, ...]
+    values: np.ndarray
+    isolates: frozenset[str] = frozenset()
+    normalized: bool = False
+
+    def __post_init__(self):
+        if len(self.labels) != self.values.size:
+            raise ValueError("one score per node required")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError(f"non-finite score in {self.metric} vector")
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(len(self.labels))))
+
+
+@dataclass(frozen=True)
+class BoundsRecord:
+    metric: str
+    alpha: float
+    n: int
+    min_weight: float
+    max_weight: float
+    lower: float
+    upper: float
+
+    def __post_init__(self):
+        if self.lower > self.upper:
+            raise ValueError(
+                f"degenerate bounds for {self.metric}: lower {self.lower} > upper {self.upper}"
+            )
+
+
+@dataclass(frozen=True)
+class ResultTable:
+    labels: tuple[str, ...]
+    columns: tuple[tuple[str, np.ndarray], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class RankVector:
+    metric: str
+    tie_rule: str
+    labels: tuple[str, ...]
+    ranks: np.ndarray
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(len(self.labels))))
+
+
+@dataclass(frozen=True)
+class CorrelationSweep:
+    alphas: tuple[float, ...]
+    dc_metrics: tuple[str, ...]
+    baselines: tuple[str, ...]
+    means: dict[tuple[str, str, float], float]
+    ensemble_size: int
+    params: dcmetrics.GeneratorParams
+    seed: int
+    perfect_overlaps: tuple[tuple[int, str, str, float, float], ...]

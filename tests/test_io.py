@@ -399,8 +399,8 @@ class TestArrayReaderMatchesLoop:
         ascii_space = [c for c in range(128) if chr(c).isspace()]
         assert np.flatnonzero(bytereader._SPACE).tolist() == ascii_space
         others = "".join(c for c in map(chr, range(128, 0x110000)) if c.isspace())
-        assert bytereader._UNICODE_SPACE.sub("", others) == ""
-        assert len(bytereader._UNICODE_SPACE.findall("".join(map(chr, range(128, 0x3001))))) == len(others)
+        assert re.sub(bytereader._UNICODE_SPACE, "", others) == ""
+        assert len(re.findall(bytereader._UNICODE_SPACE, "".join(map(chr, range(128, 0x3001))))) == len(others)
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -502,7 +502,7 @@ class TestBlockReader:
 
 
 def _has_unicode_space(text):
-    return bytereader._UNICODE_SPACE.search(text) is not None
+    return re.search(bytereader._UNICODE_SPACE, text) is not None
 
 
 class TestRoundTripProperty:

@@ -1,15 +1,20 @@
 """The package namespace: what ``import dcmetrics`` offers, and which
 modules a fresh interpreter loads with it."""
 
+import dataclasses
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
+import numpy as np
 import pytest
 
 import dcmetrics
+import naive
 from dcmetrics import baselines, datasets, stats
 
 MODULES = ("baselines", "datasets", "distinctiveness", "errors", "generators", "graph", "io", "stats", "svgchart")
@@ -64,8 +69,9 @@ def test_distinctiveness_is_the_dispatcher():
 # what every file ``compute`` runs, loaded by ``import dcmetrics.cli``
 CORE = {"numpy", "dcmetrics.errors", "dcmetrics.graph", "dcmetrics.distinctiveness", "dcmetrics.io"}
 # what such a command never runs, loaded by the first command that does
+# (dataclasses and copy by the generator's parameters)
 DEFERRED = {"dcmetrics.baselines", "dcmetrics.stats", "dcmetrics.generators", "dcmetrics.svgchart",
-            "dcmetrics.datasets", "xml.etree", "json"}
+            "dcmetrics.datasets", "xml.etree", "json", "dataclasses", "copy"}
 FLORENTINE = Path(__file__).resolve().parents[1] / "data" / "florentine.tsv"
 
 
@@ -128,3 +134,84 @@ def test_name_lists_are_declared_once():
         assert stats.rank(vector, tie_rule=rule).tie_rule == rule
     with pytest.raises(ValueError, match="unknown tie rule"):
         stats.rank(vector, tie_rule="dense")
+
+
+TOY = dcmetrics.builtin_dataset("toy-undirected")
+SCORES = np.array([3.0, 1.0, 2.0])
+# each record with positional and keyword arguments
+RECORDS = [
+    ("BuildReport", (2,), {"self_loops_dropped": 1}),
+    ("Graph", (TOY.nodes, TOY.directed, TOY.indptr, TOY.indices, TOY.weights),
+     {"in_indptr": TOY.in_indptr, "in_indices": TOY.in_indices, "in_weights": TOY.in_weights}),
+    ("DegreeProfile", tuple(vars(dcmetrics.profile(TOY)).values()), {}),
+    ("ValidationReport", ((("a", "b", 0.5),), False), {"isolated_nodes": ("c",), "weight_homogeneous": True}),
+    ("MetricSpec", ("d2",), {"alpha": 2.5, "direction": "in"}),
+    ("CentralityVector", ("d1", 1.0, "out", ("a", "b", "c"), SCORES), {"isolates": frozenset("c")}),
+    ("BoundsRecord", ("d3", 2.0, 10, 1.0, 5.0), {"lower": 0.5, "upper": 4.0}),
+    ("ResultTable", (("a", "b", "c"),), {"columns": (("d1", SCORES), ("d2@2", SCORES * 2))}),
+    ("RankVector", ("d5", "fractional", ("a", "b", "c")), {"ranks": np.array([1.0, 2.5, 2.5])}),
+    ("CorrelationSweep", ((1.0, 2.0), ("d1",), ("degree",), {("d1", "degree", 1.0): 0.5}),
+     {"ensemble_size": 3, "params": dcmetrics.GeneratorParams(10, 2), "seed": 7, "perfect_overlaps": ()}),
+]
+# the records whose __post_init__ refuses an argument, with such arguments
+REFUSED = {
+    "MetricSpec": (("d1",), {"alpha": 0.9}),
+    "BoundsRecord": (("d1", 1.0, 10, 1.0, 5.0), {"lower": 3.0, "upper": 2.0}),
+    "CentralityVector": (("d1", 1.0, "out", ("a", "b"), np.array([1.0, np.nan])), {}),
+}
+CACHED = {"Graph": "_index", "CentralityVector": "_position", "RankVector": "_position"}
+
+
+def outcome(call):
+    """The repr of what ``call()`` returns, or the type and message of what
+    it raises; the dataclasses' FrozenInstanceError counts as the
+    AttributeError it subclasses."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return (AttributeError if isinstance(exc, AttributeError) else type(exc)), str(exc)
+
+
+@pytest.mark.parametrize("name, args, kwargs", RECORDS, ids=[case[0] for case in RECORDS])
+def test_records_behave_as_the_dataclasses_they_replaced(name, args, kwargs):
+    """``tests/naive.py`` keeps each record as the frozen dataclass it was:
+    built from the same arguments, both behave the same."""
+    new_cls, old_cls = getattr(dcmetrics, name), getattr(naive, name)
+    new, old = new_cls(*args, **kwargs), old_cls(*args, **kwargs)
+
+    def same(call):
+        got = outcome(lambda: call(new_cls, new))
+        assert got == outcome(lambda: call(old_cls, old))
+        return got
+
+    same(lambda cls, record: record)
+    by_value = old_cls.__eq__ is not object.__eq__
+    for cls, record in ((new_cls, new), (old_cls, old)):
+        twin = cls(*args, *kwargs.values())
+        assert record == record and record != object() and record == ANY  # ANY's reflected == runs
+        assert (record == twin) is by_value
+        assert outcome(lambda: hash(record)) == outcome(lambda: hash(twin) if by_value else object.__hash__(record))
+    if by_value:
+        same(lambda cls, record: hash(record))
+    fields = [field.name for field in dataclasses.fields(old_cls)]
+    first = fields[0]
+    for target in (first, "other"):
+        assert same(lambda cls, record: setattr(record, target, None))[0] is AttributeError
+        assert same(lambda cls, record: delattr(record, target))[0] is AttributeError
+    same(lambda cls, record: cls())  # missing arguments, or all the defaults
+    same(lambda cls, record: cls(*args))
+    for wrong in (
+        lambda cls, record: cls(*args, bogus=None, **kwargs),
+        lambda cls, record: cls(*[None] * (len(fields) + 1)),
+        lambda cls, record: cls(*args, *kwargs.values(), **{first: None}),
+    ):
+        assert same(wrong)[0] is TypeError
+    if name in REFUSED:
+        bad_args, bad_kwargs = REFUSED[name]
+        assert same(lambda cls, record: cls(*bad_args, **bad_kwargs))[0] is ValueError
+    same(lambda cls, record: pickle.loads(pickle.dumps(record)))
+    assert same(lambda cls, record: type(pickle.loads(pickle.dumps(record))) is cls) == "True"
+    same(lambda cls, record: pickle.loads(pickle.dumps(record)) == record)
+    if name in CACHED:
+        same(lambda cls, record: getattr(record, CACHED[name]))
+        assert getattr(new, CACHED[name]) is getattr(new, CACHED[name])
