@@ -17,7 +17,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -39,28 +38,26 @@ from .graph import Graph, profile
 from .io import ResultTable, _blocks, _csv_cells, parse_edge_list, parse_gexf_minimal, write_edge_list
 
 
-def _deferred(module: str, name: str):
-    """A stand-in for ``dcmetrics.<module>.<name>`` that imports the module
-    on its first call and looks the name up at every call."""
+def _deferred(name: str):
+    """A stand-in for ``dcmetrics.<name>``, looked up in the package at
+    every call; the package loads the module holding it on the first."""
 
     def call(*args, **kwargs):
-        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
 
     return call
 
 
 # the names only some commands call, so that a command loads only the modules
 # it uses; perfbench/tracer.py wraps several of them by their name here
-baseline = _deferred("baselines", "baseline")
-builtin_dataset = _deferred("datasets", "builtin_dataset")
-GeneratorParams = _deferred("generators", "GeneratorParams")
-barabasi_albert = _deferred("generators", "barabasi_albert")
-correlation_sweep = _deferred("stats", "correlation_sweep")
-rank = _deferred("stats", "rank")
-spearman = _deferred("stats", "spearman")
-_ranked = _deferred("stats", "_ranked")
-_rho_matrix = _deferred("stats", "_rho_matrix")
-render_line_chart = _deferred("svgchart", "render_line_chart")
+baseline = _deferred("baseline")
+builtin_dataset = _deferred("builtin_dataset")
+GeneratorParams = _deferred("GeneratorParams")
+barabasi_albert = _deferred("barabasi_albert")
+correlation_sweep = _deferred("correlation_sweep")
+rank = _deferred("rank")
+spearman = _deferred("spearman")
+render_line_chart = _deferred("render_line_chart")
 
 
 def _default_seed(value: int | None) -> int:
@@ -181,6 +178,8 @@ def _cmd_compute(args) -> int:
     directions = _directions(graph, args.direction)
     if args.normalize and base_names:
         raise DCMetricsError("--normalize applies only to d1..d5 (baselines have no analytic bounds)")
+    if args.normalize and graph.directed:
+        raise DCMetricsError("--normalize applies only to undirected graphs (the bounds are derived for them)")
 
     vectors = _score(graph, dc_names, base_names, alphas, directions, args)
     if args.normalize:
@@ -241,6 +240,8 @@ def _cmd_compare(args) -> int:
         names = [f"{vec.metric}@{tag}" for vec, tag in zip(vectors, "ab")]
         rho = [[spearman(vx, vy) for vy in vectors] for vx in vectors]
     else:
+        from .stats import _ranked, _rho_matrix
+
         directions = _directions(graph, args.direction)
         vectors = list(_score(graph, dc_names, base_names, [args.alpha], directions, args))
         names = [v.metric + (f"-{v.direction}" if v.direction != "undirected" else "") for v in vectors]
@@ -428,10 +429,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DCMetricsError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DCMetricsError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -353,8 +353,8 @@ def bounds(
     alpha: float = 1.0,
     relaxed_alpha: bool = False,
 ) -> BoundsRecord:
-    """Analytic lower/upper bounds for a metric on a connected graph with
-    ``n`` nodes and weights in [min_weight, max_weight].
+    """Analytic lower/upper bounds for a metric on a connected undirected
+    graph with ``n`` nodes and weights in [min_weight, max_weight].
 
     The d1/d2/d4/d5 bounds are tight (a uniform-weight star hub attains the
     upper ones); the d3 pair is a loose envelope and is never attained.

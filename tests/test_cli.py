@@ -143,6 +143,23 @@ class TestCompute:
         assert code == 1
         assert "graph has no edges left after self-loops were dropped" in err
 
+    @pytest.mark.parametrize("source, metrics", [
+        # the undirected d3 upper bound is 0.954243 at n=3, and A's d3 is 1.26186 in both directions
+        ("digraph", "d3,d5"),
+        # E and F have no arc in one direction and score 0, below the undirected d4 lower bound
+        ("toy-directed", "d4"),
+    ])
+    def test_normalize_refuses_a_directed_graph(self, capsys, tmp_path, source, metrics):
+        if source == "digraph":
+            path = tmp_path / "digraph.tsv"
+            path.write_text("directed\nB\tA\t1\nC\tA\t1\nA\tB\t1\nA\tC\t1\n")
+            graph = ["--input", str(path)]
+        else:
+            graph = ["--dataset", source]
+        code, out, err = run(capsys, "compute", *graph, "--metrics", metrics, "--direction", "both", "--normalize")
+        assert (code, out) == (1, "")
+        assert err == "error: --normalize applies only to undirected graphs (the bounds are derived for them)\n"
+
     def test_space_separated_edges_name_the_cause(self, capsys, tmp_path):
         path = tmp_path / "spaces.tsv"
         path.write_text("undirected\nA B 1\nB C 2\n")

@@ -114,6 +114,40 @@ class TestStartup:
         script = "import sys\nns = {}\nexec('from dcmetrics import *', ns)\nprint(*ns, file=sys.stderr)"
         assert set(fresh(script).split()) == PUBLIC | {"__builtins__"}
 
+    def test_from_import_of_cli_loads_what_its_import_loads(self):
+        assert modules_after("from dcmetrics import cli") == modules_after("import dcmetrics.cli")
+
+    def test_from_import_of_the_reader_loads_the_core_and_it(self):
+        loaded = modules_after("from dcmetrics import bytereader")
+        assert {m for m in loaded if m.startswith("dcmetrics")} == {
+            "dcmetrics", *(m for m in CORE if m.startswith("dcmetrics.")), "dcmetrics.bytereader"}
+        assert not loaded & DEFERRED
+
+    @pytest.mark.parametrize("query, check", [
+        ("[hasattr(dcmetrics, 'no_such_name')]", lambda answer: answer == ["False"]),
+        ("dir(dcmetrics)", lambda answer: PUBLIC <= set(answer)),
+        ("dcmetrics.__all__", lambda answer: sorted(answer) == sorted(PUBLIC)),
+    ], ids=["hasattr", "dir", "__all__"])
+    def test_namespace_queries_load_no_lazy_module(self, query, check):
+        """The answer on the first line, the modules then loaded on the second."""
+        answer, loaded = fresh(f"import sys, dcmetrics\nprint(*{query}, file=sys.stderr)\n"
+                               "print(*sys.modules, file=sys.stderr)").splitlines()
+        assert check(answer.split())
+        assert not set(loaded.split()) & DEFERRED
+
+
+@pytest.mark.parametrize("name", sorted(dcmetrics._LAZY))
+def test_lazy_table_lists_each_module_all(name):
+    module = importlib.import_module(f"dcmetrics.{name}")
+    assert tuple(module.__all__) == dcmetrics._LAZY[name], f"dcmetrics._LAZY[{name!r}] differs from {name}.__all__"
+
+
+def test_tracer_installs_on_every_name_it_wraps():
+    """``perfbench/tracer.py`` wraps attributes of ``cli``, ``stats``,
+    ``io``, ``generators`` and ``baselines`` by name: a renamed one fails here."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    fresh(f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nfrom tracer import Tracer, install\ninstall(Tracer())")
+
 
 def test_name_lists_are_declared_once():
     """The CLI parses baseline names, tie rules and dataset names without
