@@ -357,7 +357,10 @@ def bounds(
     graph with ``n`` nodes and weights in [min_weight, max_weight].
 
     The d1/d2/d4/d5 bounds are tight (a uniform-weight star hub attains the
-    upper ones); the d3 pair is a loose envelope and is never attained.
+    upper ones). The d3 lower bound is attained too: at alpha 1 with unit
+    weights every leaf of a star scores 0, as the bound is. Only the d3
+    upper bound is loose: above two nodes, the unit-weight star hub scores
+    (n-1) log10(n-1) against its (n-1) log10(n(n-1)/2).
     """
     MetricSpec(metric, alpha, "undirected", relaxed_alpha)
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -412,9 +415,15 @@ def bounds(
 
 
 def normalize(vector: CentralityVector, record: BoundsRecord) -> CentralityVector:
-    """Map scores through (score - lower) / (upper - lower)."""
+    """Map scores through (score - lower) / (upper - lower).
+
+    The bounds are derived for undirected graphs, so an in- or out-vector is refused.
+    """
     if vector.normalized:
         raise ValueError("vector is already normalized")
+    if vector.direction != "undirected":
+        raise ValueError(f"bounds are derived for undirected graphs, cannot normalize a {vector.metric} "
+                         f"vector of direction {vector.direction!r}")
     if vector.metric != record.metric:
         raise ValueError(f"bounds are for {record.metric!r}, vector is {vector.metric!r}")
     if vector.alpha is None or float(vector.alpha) != record.alpha:

@@ -1,10 +1,10 @@
 """Naive direct-from-definition evaluators used as oracles.
 
-Most of these work on plain dicts and math.log10, independently of the
-package's CSR/numpy kernels: same formulas, different code path. The
-``naive_*`` functions marked as bitwise references keep an earlier, plainer
+Most of these work on plain dicts, independently of the package's
+CSR/numpy kernels: same formulas, different code path. The ``naive_*``
+functions marked as bitwise references keep an earlier, plainer
 implementation of a package function, whose outputs the package must still
-match bit for bit.
+match bit for bit. The exact scores of d1..d5 are in ``exact.py``.
 """
 
 from __future__ import annotations
@@ -144,56 +144,12 @@ def naive_is_connected(graph):
     return len(seen) == graph.n
 
 
-def _adjacency(nodes, edges, directed):
+def _undirected_weights(nodes, edges):
+    """Each node's neighbours and edge weights, from a built undirected graph's edges."""
     out = {u: {} for u in nodes}
-    inn = {u: {} for u in nodes}
     for u, v, w in edges:
-        out[u][v] = out[u].get(v, 0.0) + w
-        inn[v][u] = inn[v].get(u, 0.0) + w
-        if not directed:
-            out[v][u] = out[v].get(u, 0.0) + w
-            inn[u][v] = inn[u].get(v, 0.0) + w
-    return out, inn
-
-
-def naive_distinctiveness(nodes, edges, directed, metric, alpha, direction="undirected"):
-    """Score one of d1..d5 for every node, straight from the definitions."""
-    nodes = list(nodes)
-    n = len(nodes)
-    out, inn = _adjacency(nodes, edges, directed)
-    total = sum(w for _, _, w in edges)
-
-    if direction == "in":
-        incident = inn  # j -> i arcs, keyed by sender j
-        nbr_deg = {u: len(out[u]) for u in nodes}
-        nbr_strength = lambda j: sum(w**alpha for w in out[j].values())
-    elif direction == "out":
-        incident = out
-        nbr_deg = {u: len(inn[u]) for u in nodes}
-        nbr_strength = lambda j: sum(w**alpha for w in inn[j].values())
-    else:
-        incident = out
-        nbr_deg = {u: len(out[u]) for u in nodes}
-        nbr_strength = lambda j: sum(w**alpha for w in out[j].values())
-
-    scores = {}
-    for i in nodes:
-        acc = 0.0
-        for j, w in incident[i].items():
-            if metric == "d1":
-                acc += w * math.log10((n - 1) / nbr_deg[j] ** alpha)
-            elif metric == "d2":
-                acc += math.log10((n - 1) / nbr_deg[j] ** alpha)
-            elif metric == "d3":
-                acc += w * math.log10(total / (nbr_strength(j) - w**alpha + 1.0))
-            elif metric == "d4":
-                acc += w ** (alpha + 1) / nbr_strength(j)
-            elif metric == "d5":
-                acc += 1.0 / nbr_deg[j] ** alpha
-            else:
-                raise ValueError(metric)
-        scores[i] = acc
-    return scores
+        out[u][v] = out[v][u] = w
+    return out
 
 
 def naive_degree_distinctiveness(graph, alpha, direction=None, relaxed_alpha=False, metrics=("d1", "d2", "d5")):
@@ -249,7 +205,7 @@ def naive_betweenness(nodes, edges, weighted=False):
     """Non-normalized betweenness by enumerating every simple path of every
     pair and keeping the shortest ones. Exponential; keep n small."""
     nodes = list(nodes)
-    out, _ = _adjacency(nodes, edges, directed=False)
+    out = _undirected_weights(nodes, edges)
     length = {u: {v: (1.0 / w if weighted else 1.0) for v, w in out[u].items()} for u in nodes}
     score = {u: 0.0 for u in nodes}
     for s, t in itertools.combinations(nodes, 2):
@@ -282,7 +238,7 @@ def naive_betweenness(nodes, edges, weighted=False):
 def naive_closeness(nodes, edges, weighted=False):
     """Closeness via Floyd-Warshall distances."""
     nodes = list(nodes)
-    out, _ = _adjacency(nodes, edges, directed=False)
+    out = _undirected_weights(nodes, edges)
     dist = {u: {v: math.inf for v in nodes} for u in nodes}
     for u in nodes:
         dist[u][u] = 0.0

@@ -4,8 +4,9 @@ PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 Tolerances are fixed here and nowhere else: published 3-decimal score
 tables match within 5e-4 (plus truncated-print cells), constraint and
 effective size within 0.02 (their weighted conventions vary across tools),
-correlation tables within 0.02, closed-form attainment and oracle
-equivalence within 1e-12 relative.
+correlation tables within 0.02, closed-form attainment within 1e-12
+relative, and oracle equivalence within 1e-12 of each exact score
+(``within_exact``).
 """
 
 import time
@@ -28,7 +29,7 @@ from dcmetrics import (
     spearman,
 )
 from conftest import random_graph
-from naive import naive_distinctiveness
+import exact
 from reference_values import (
     DIRECTED_TOY_SCORES,
     FLORENTINE_FAMILIES,
@@ -42,10 +43,24 @@ from reference_values import (
     ZACHARY_MISPRINT_CELL,
     matches_print,
 )
-from test_distinctiveness import full_mesh, star
+from test_distinctiveness import full_mesh, star, within_exact
 
 SWEEP_SEED = 1  # pinned: the ensemble properties below hold at this seed
 BOUNDS_SEEDS = range(200)
+
+
+def oracle_cases():
+    """(graph, alpha) for test_07: 50 seeded random graphs, every other one
+    directed, then 4 more per directedness at each alpha in 1, 2 and 5."""
+    rng = np.random.default_rng(2718)
+    for case in range(50):
+        g = random_graph(rng, int(rng.integers(3, 51)), directed=case % 2 == 1)
+        yield g, float(rng.choice([1.0, 2.0, 3.0, 5.0]))
+    for directed in (False, True):
+        for alpha in (1, 2, 5):
+            rng = np.random.default_rng(42 + alpha)
+            for _ in range(4):
+                yield random_graph(rng, int(rng.integers(3, 30)), directed=directed), alpha
 
 
 def _report(tag: str, ok: bool, detail: str = ""):
@@ -205,32 +220,22 @@ class TestAcceptance:
     def test_07_oracle_equivalence(self):
         ok = False
         try:
-            rng = np.random.default_rng(2718)
             checked = 0
-            for case in range(50):
-                directed = case % 2 == 1
-                n = int(rng.integers(3, 51))
-                g = random_graph(rng, n, directed=directed)
-                directions = ("in", "out") if directed else ("undirected",)
-                a = float(rng.choice([1.0, 2.0, 3.0, 5.0]))
-                for direction in directions:
-                    kw = {"direction": direction} if directed else {}
-                    computed = all_distinctiveness(g, alpha=a, **kw)
+            for g, a in oracle_cases():
+                for direction in ("in", "out") if g.directed else ("undirected",):
+                    computed = all_distinctiveness(g, alpha=a, direction=direction)
+                    want = exact.scores(g.nodes, g.edges(), g.directed, a, direction)
                     for metric in METRICS:
-                        ref = naive_distinctiveness(
-                            g.nodes, list(g.edges()), directed, metric, a, direction
-                        )
                         for lab in g.nodes:
                             got = computed[metric][lab]
-                            want = ref[lab]
-                            assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)), (
-                                metric, a, direction, lab, got, want,
+                            assert within_exact(got, want[metric][lab]), (
+                                metric, a, direction, lab, got, want[metric][lab],
                             )
                             checked += 1
             ok = True
-            detail = f"50 graphs, {checked} scores within 1e-12 relative"
+            detail = f"74 graphs, {checked} scores within 1e-12 of the exact scores"
         finally:
-            _report("07 optimized kernels vs naive evaluator", ok, detail if ok else "")
+            _report("07 optimized kernels vs exact oracle", ok, detail if ok else "")
 
     def test_08_sweep_qualitative_properties(self):
         ok = False

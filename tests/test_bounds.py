@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +12,13 @@ from dcmetrics import (
     build_graph,
     d1,
     d2,
+    d3,
     d4,
     d5,
     normalize,
     profile,
 )
+import exact
 from test_distinctiveness import full_mesh, star
 
 
@@ -110,9 +111,8 @@ class TestBoundFormulas:
         # gives 0.0, the bound is the exact quotient rounded to float64
         m, M = min_weight, max_weight
         assert m / (1.0 + (n - 2) * (M / m) ** float(alpha)) == 0.0
-        exact = Fraction(m) / (1 + (n - 2) * (Fraction(M) / Fraction(m)) ** alpha)
         lower = bounds("d4", n=n, min_weight=m, max_weight=M, alpha=alpha).lower
-        assert lower == float(exact) > 0.0
+        assert lower == exact.bounds("d4", n, m, M, alpha)[0] > 0.0
 
     @pytest.mark.parametrize("metric", ["d4", "d5"])
     def test_lower_bound_grid_against_the_float_formula(self, metric):
@@ -121,11 +121,6 @@ class TestBoundFormulas:
         # (integer alpha), or the float power taken with -alpha (d5, any alpha)
         def formula(n, m, M, alpha):
             return m / (1.0 + (n - 2) * (M / m) ** alpha) if metric == "d4" else 1.0 / (n - 1) ** alpha
-
-        def exact(n, m, M, alpha):
-            if metric == "d4":
-                return float(Fraction(m) / (1 + (n - 2) * (Fraction(M) / Fraction(m)) ** alpha))
-            return float(1 / Fraction(n - 1) ** alpha)
 
         kept = rounded = 0
         for n in (2, 3, 4, 10, 100, 10**6):
@@ -137,7 +132,7 @@ class TestBoundFormulas:
                     except OverflowError:
                         rounded += 1
                         if float(alpha).is_integer():
-                            assert lower == exact(n, m, M, int(alpha)), (n, m, M, alpha)
+                            assert lower == exact.bounds(metric, n, m, M, int(alpha))[0], (n, m, M, alpha)
                         elif metric == "d5":
                             assert math.isclose(lower, (n - 1.0) ** -alpha, rel_tol=1e-12, abs_tol=1e-322)
                         else:
@@ -146,6 +141,16 @@ class TestBoundFormulas:
                     kept += 1
                     assert np.float64(lower).view(np.int64) == np.float64(want).view(np.int64), (n, m, M, alpha)
         assert kept > 50 and rounded > 50
+
+    def test_against_the_exact_bounds(self):
+        for metric in METRICS:
+            for n in (2, 3, 10, 100):
+                for m, M in ((1.0, 1.0), (1.0, 2.0), (1.0, 20.0), (3.0, 7.0), (0.5, 3.0)):
+                    for alpha in (1, 2, 5, 13):
+                        rec = bounds(metric, n=n, min_weight=m, max_weight=M, alpha=alpha)
+                        lower, upper = exact.bounds(metric, n, m, M, alpha)
+                        assert math.isclose(rec.lower, lower, rel_tol=1e-12), (metric, n, m, M, alpha)
+                        assert math.isclose(rec.upper, upper, rel_tol=1e-12), (metric, n, m, M, alpha)
 
 
 class TestContainment:
@@ -180,6 +185,11 @@ class TestAttainment:
             rec = bounds(metric, n=n, min_weight=M, max_weight=M, alpha=alpha)
             hub = fn(g, alpha=alpha)["hub"]
             assert hub == pytest.approx(rec.upper, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_star_leaf_attains_d3_lower(self, n):
+        # at alpha 1 and unit weights each leaf's one term is log10(total / S_hub) = log10(1)
+        assert d3(star(n))["leaf0"] == bounds("d3", n=n).lower == 0.0
 
     @pytest.mark.parametrize("alpha", [1, 2, 5])
     @pytest.mark.parametrize("metric,fn", [("d1", d1), ("d2", d2)])
@@ -226,10 +236,16 @@ class TestNormalize:
         g = build_graph([("A", "B", 1.0)])
         rec = bounds("d3", n=2, min_weight=1, max_weight=1, alpha=1)
         assert rec.lower == rec.upper == 0.0
-        from dcmetrics import d3
-
         with pytest.raises(ValueError, match="degenerate"):
             normalize(d3(g), rec)
+
+    @pytest.mark.parametrize("direction", ["in", "out"])
+    def test_directed_vector_rejected(self, direction):
+        # A's d3 in either direction is 1.26186 normalized by the undirected bounds, above 1
+        g = build_graph([("B", "A", 1.0), ("C", "A", 1.0), ("A", "B", 1.0), ("A", "C", 1.0)], directed=True)
+        message = f"bounds are derived for undirected graphs, cannot normalize a d3 vector of direction '{direction}'"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            normalize(d3(g, direction=direction), bounds("d3", n=3))
 
     def test_double_normalization_rejected(self, toy):
         rec = bounds("d5", n=6, alpha=1)

@@ -1,8 +1,6 @@
 import math
 import re
 import tracemalloc
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +27,8 @@ from dcmetrics.distinctiveness import _scores
 from dcmetrics.graph import graph_from_arrays
 from dcmetrics.stats import _block_diagonal
 from conftest import random_graph
-from naive import naive_degree_distinctiveness, naive_distinctiveness
+import exact
+from naive import naive_degree_distinctiveness
 from reference_values import DIRECTED_TOY_SCORES, PRINT_TOL, TOY_SCORES
 
 
@@ -250,48 +249,12 @@ class TestInvariants:
                 assert v2[mapping[lab]] == pytest.approx(v1[lab], rel=1e-12, abs=1e-15)
 
 
-class TestOracleEquivalence:
-    @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("alpha", [1, 2, 5])
-    def test_kernels_match_naive_evaluator(self, directed, alpha):
-        rng = np.random.default_rng(42 + alpha)
-        for _ in range(4):
-            g = random_graph(rng, int(rng.integers(3, 30)), directed=directed)
-            directions = ("in", "out") if directed else ("undirected",)
-            for direction in directions:
-                kw = {"direction": direction} if directed else {}
-                vals = all_distinctiveness(g, alpha=alpha, **kw)
-                for metric in METRICS:
-                    ref = naive_distinctiveness(
-                        g.nodes, list(g.edges()), directed, metric, alpha, direction
-                    )
-                    for lab in g.nodes:
-                        got = vals[metric][lab]
-                        assert got == pytest.approx(ref[lab], rel=1e-12, abs=1e-12)
-
-
-def decimal_degree_scores(graph, metric, alpha):
-    """d1, d2 or d5 of every node of an undirected graph in decimal
-    arithmetic at 40 digits: each penalty is log10(n-1) - alpha log10(g)
-    and each d5 term g**-alpha, with no ratio form and no float power."""
-    ctx = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    a = Decimal(alpha)
-    log_n1 = ctx.log10(Decimal(graph.n - 1))
-    degree = graph.out_degrees().tolist()
-    scores = {}
-    for i, label in enumerate(graph.nodes):
-        total = Decimal(0)
-        for k in range(graph.indptr[i], graph.indptr[i + 1]):
-            g = Decimal(degree[graph.indices[k]])
-            if metric == "d5":
-                term = ctx.power(g, -a)
-            else:
-                term = ctx.subtract(log_n1, ctx.multiply(a, ctx.log10(g)))
-                if metric == "d1":
-                    term = ctx.multiply(Decimal(float(graph.weights[k])), term)
-            total = ctx.add(total, term)
-        scores[label] = float(total)
-    return scores
+def within_exact(got: float, want: tuple[float, float]) -> bool:
+    """Whether a score is within 1e-12 of its exact (score, scale) from
+    ``exact.scores``, taken of the smaller of the scale and max(1, |score|),
+    or within 1e-320 where that is below the subnormal range."""
+    value, scale = want
+    return math.isfinite(value) and abs(got - value) <= max(1e-12 * min(scale, max(1.0, abs(value))), 1e-320)
 
 
 @pytest.mark.filterwarnings("error")
@@ -315,33 +278,14 @@ class TestDegreePowerOverflow:
     @pytest.mark.parametrize("name", ["florentine", "zachary", "star"])
     @pytest.mark.parametrize("alpha", [1, 2.5, 100, 110, 240, 400, 1000])
     def test_against_decimal_logs(self, name, alpha):
+        # exact logs of the degree ratios (tests/exact.py); the test id predates that oracle
         g = star(1001) if name == "star" else builtin_dataset(name)
         scores = all_distinctiveness(g, alpha=alpha, metrics=("d1", "d2", "d5"))
+        want = exact.scores(g.nodes, g.edges(), False, alpha)
         for metric, vector in scores.items():
-            want = decimal_degree_scores(g, metric, alpha)
             for label in g.nodes:
                 got = vector[label]
-                assert math.isclose(got, want[label], rel_tol=1e-12, abs_tol=1e-12 if alpha < 100 else 1e-320), (
-                    metric, label, got, want[label]
-                )
-
-
-def fraction_d4(graph, alpha, direction=None):
-    """d4 of every node in exact rational arithmetic at an integer alpha:
-    each term is w**(alpha+1) over the neighbor's alpha-strength, and each
-    node's sum is rounded to float once."""
-    out = {u: [] for u in graph.nodes}
-    inn = {u: [] for u in graph.nodes}
-    for u, v, w in graph.edges():
-        out[u].append((v, Fraction(w)))
-        inn[v].append((u, Fraction(w)))
-        if not graph.directed:
-            out[v].append((u, Fraction(w)))
-            inn[u].append((v, Fraction(w)))
-    # an in-score's neighbors are senders, penalised by their out-rows
-    incident, strength_rows = (inn, out) if direction == "in" else (out, inn)
-    strength = {j: sum(w**alpha for _, w in row) for j, row in strength_rows.items()}
-    return {i: float(sum(w ** (alpha + 1) / strength[j] for j, w in row)) for i, row in incident.items()}
+                assert within_exact(got, want[metric][label]), (metric, label, got, want[metric][label])
 
 
 def heavy_weight_graphs():
@@ -378,13 +322,11 @@ class TestWeightPowerOverflow:
     @pytest.mark.parametrize("alpha", [1, 2, 3, 7])
     def test_against_fractions(self, alpha):
         for g in heavy_weight_graphs():
-            for direction in ("in", "out") if g.directed else (None,):
-                want = fraction_d4(g, alpha, direction)
+            for direction in ("in", "out") if g.directed else ("undirected",):
+                want = exact.scores(g.nodes, g.edges(), g.directed, alpha, direction)["d4"]
                 got = all_distinctiveness(g, alpha, direction, metrics=("d4",))["d4"]
                 for label in g.nodes:
-                    assert math.isclose(got[label], want[label], rel_tol=1e-12, abs_tol=1e-320), (
-                        label, direction, got[label], want[label]
-                    )
+                    assert within_exact(got[label], want[label]), (label, direction, got[label], want[label])
 
     def test_d3_fails_by_name_past_a_finite_total(self):
         # the total weight is finite though the stored entries sum past the float limit
