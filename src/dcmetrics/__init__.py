@@ -8,18 +8,18 @@ seeded Barabasi-Albert generator, embedded evaluation datasets, and
 edge-list/GEXF/CSV/JSON/SVG i-o behind a CLI.
 
 Every name a module lists in its ``__all__`` is importable from here. The
-modules every CLI ``compute`` runs (graph, distinctiveness, io, errors)
-load with the package. ``_LAZY`` lists the public names of the modules
-that load on first use (PEP 562): taking one imports its owner, and no
-other module. ``__all__`` and ``dir()`` load nothing; any other name
-(``cli``, ``bytereader``, a typo) is left to the import system. A new
-public name of a lazy module goes in the table, which a test holds equal
-to each module's ``__all__``.
+modules every CLI command runs (graph, distinctiveness, errors) load with
+the package. ``_LAZY`` lists the public names of the modules that load on
+first use (PEP 562), the file readers and writers of ``io`` among them:
+taking one imports its owner, and no other module. ``__all__`` and
+``dir()`` load nothing; any other name (``cli``, ``bytereader``, a typo)
+is left to the import system. A new public name of a lazy module goes in
+the table, which a test holds equal to each module's ``__all__``.
 """
 
 from importlib import import_module
 
-from . import distinctiveness, errors, graph, io
+from . import distinctiveness, errors, graph
 
 __version__ = "0.1.0"
 
@@ -32,11 +32,12 @@ _LAZY = {
     "generators": ("GeneratorParams", "barabasi_albert"),
     "datasets": ("DATASET_NAMES", "builtin_dataset", "dataset_edges"),
     "svgchart": ("render_line_chart",),
+    "io": ("parse_edge_list", "write_edge_list", "parse_gexf_minimal", "GexfFeatureWarning", "ResultTable"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 # the tuple is made before the loop rebinds ``distinctiveness`` to the function
-_CORE = (graph, distinctiveness, io, errors)
+_CORE = (graph, distinctiveness, errors)
 __all__ = ["__version__", *(name for module in _CORE for name in module.__all__), *_OWNER]
 for _module in _CORE:
     globals().update((name, getattr(_module, name)) for name in _module.__all__)

@@ -28,9 +28,13 @@ per source, which ``tests/naive.py`` keeps as the reference:
 - each level's dependencies ``delta`` are summed with ``np.bincount``, which
   adds in array order, over the arcs back to the level above taken last
   tail first: the loop's stack-pop order;
-- the per-source dependencies are added into the scores in source order.
+- the per-source dependencies are added into the scores in source order,
+  one source at a time (``np.add.accumulate``).
 
-``_hop_paths`` gives closeness from betweenness's search; ``_power_stack``
+``_hop_paths`` gives closeness from betweenness's search. It also scores k
+stacked graphs of n nodes each (the sweep's block-diagonal chunk), with the
+cells of a source at ``b * n + v % n`` and sources in blocks of whole
+graphs, so that each graph keeps the bits it has alone. ``_power_stack``
 stacks eigenvector's power loop, and takes the norms of all its rows with one
 stacked ``matmul``.
 
@@ -38,7 +42,8 @@ Weighted, both run ``_dijkstra``: a binary heap per source over the CSR
 arrays as flat Python lists, with a fixed visit order and tie rule (path
 lengths compared with ``==``), so they too are reproducible bit for bit.
 
-Constraint and effective size sum over triangles: per stored entry
+Constraint and effective size sum over triangles (one join, which the
+sweep shares between them): per stored entry
 e = (i, j) and common neighbour q, the entries f = (i, q) and x = (j, q).
 ``_triangles`` lists them with one join over the CSR, sorted by (e, f): the
 order of a loop over the egos i, their alters j, then their alters q, which
@@ -78,6 +83,11 @@ __all__ = [
 # arrays and the arc lists it keeps per level), a triangle block as many
 # entries as keep their row lookups within this many.
 _BLOCK_CELLS = 1 << 20
+# The same bounds for k > 1 stacked small graphs: a search block of whole
+# graphs, and a triangle block, hold far less. Larger blocks no longer cut
+# the per-call overhead, and only raise the peak memory.
+_STACK_CELLS = 1 << 15
+_STACK_LOOKUPS = 1 << 13
 
 
 def _require_undirected(graph: Graph, what: str) -> None:
@@ -107,48 +117,70 @@ def degree_centrality(graph: Graph, weighted: bool = False) -> CentralityVector:
     return _vector(graph, "degree", weighted, values)
 
 
-def _blocks(graph: Graph) -> list[tuple[int, int]]:
-    """The breadth-first sources, cut into blocks lo..hi-1."""
-    size = max(1, _BLOCK_CELLS // (graph.n + graph.indices.size))
+def _blocks(graph: Graph, k: int = 1) -> list[tuple[int, int]]:
+    """The breadth-first sources of k stacked graphs (see ``_bfs``), cut
+    into blocks lo..hi-1: of whole graphs when k > 1."""
+    n = graph.n // k
+    if k > 1:
+        size = n * max(1, _STACK_CELLS // (n * (n + graph.indices.size // k)))
+    else:
+        size = max(1, _BLOCK_CELLS // (n + graph.indices.size))
     return [(lo, min(graph.n, lo + size)) for lo in range(0, graph.n, size)]
 
 
-def _bfs(graph: Graph, lo: int, hi: int):
-    """Breadth-first search from the sources lo..hi-1 at once.
+def _bfs(graph: Graph, lo: int, hi: int, n: int, paths: bool = False):
+    """Breadth-first search from the sources lo..hi-1 at once, in a graph
+    whose nodes fall into disjoint parts of n nodes each (k stacked graphs,
+    part g on nodes g*n..(g+1)*n-1, or one graph with n = ``graph.n``).
 
-    Cell ``b * n + v`` stands for node v as reached from source lo + b.
-    Returns the level of every cell (-1 where unreached), the position of
-    every reached cell within its level, and per level a tuple: its cells,
-    in the queue order of a one-source search; then, for every arc out of
-    them in that order times CSR row order, the position of the arc's tail
-    in the level, its head cell, and the head's level before this level was
-    expanded (-1 where the expansion reaches it first).
+    Cell ``b * n + v % n`` stands for node v as reached from source lo + b:
+    an arc v -> t stays in its part, so it leads to the cell ``cell - v + t``.
+    Returns the level of every cell (-1 where unreached) and, with
+    ``paths``, per level a tuple: its cells, in the queue order of a
+    one-source search; their path counts sigma; and the arcs back to the
+    level above, as the positions of their tails in this level and of their
+    heads in the level above. Arcs are listed in the queue order of their
+    tails times CSR row order, and the arcs back in reverse: the stack-pop
+    order of the one-source search.
     """
-    n = graph.n
     level = np.full((hi - lo) * n, -1, dtype=np.int64)
     pos = np.full(level.size, np.iinfo(np.int64).max)  # above any arc index: see np.minimum.at
     nodes = np.arange(lo, hi)
-    cells = np.arange(hi - lo) * n + nodes
+    cells = np.arange(hi - lo) * n + nodes % n
+    sigma = np.ones(cells.size)
     level[cells] = 0
     pos[cells] = np.arange(cells.size)
     levels = []
-    while cells.size:
+    for depth in range(1, level.size + 1):
+        # each arc-long array is dropped once used, so that few are alive at once
         sizes, at = _gather(graph.indptr, nodes)
         targets = graph.indices[at]
-        tails = np.repeat(np.arange(nodes.size), sizes)
+        del at
         heads = np.repeat(cells - nodes, sizes)
         heads += targets
         before = level[heads]
-        levels.append((cells, tails, heads, before))
+        new = np.flatnonzero(before < 0)  # arcs to cells of the next level
+        targets = targets[new]
+        if paths:  # the sources have no level above
+            tails = np.repeat(np.arange(nodes.size), sizes)
+            back = np.flatnonzero(before == depth - 2)[::-1] if depth > 1 else new[:0]
+            levels.append((cells, sigma, tails[back], pos[heads[back]]))
+            tails = tails[new]
+        del before
+        reach = heads[new]
+        del heads
         # the first arc to reach a cell is the one at the lowest index
-        new = np.flatnonzero(before < 0)
         first = np.arange(new.size)
-        np.minimum.at(pos, heads[new], first)
-        new = new[pos[heads[new]] == first]
-        cells, nodes = heads[new], targets[new]
-        level[cells] = len(levels)
+        np.minimum.at(pos, reach, first)
+        firsts = pos[reach] == first
+        cells, nodes = reach[firsts], targets[firsts]
+        if not cells.size:
+            break
+        level[cells] = depth
         pos[cells] = np.arange(cells.size)
-    return level, pos, levels
+        if paths:
+            sigma = np.bincount(pos[reach], weights=sigma[tails], minlength=cells.size)
+    return level, levels
 
 
 def _no_path(graph: Graph, s: int, t: int) -> DisconnectedGraphError:
@@ -157,16 +189,25 @@ def _no_path(graph: Graph, s: int, t: int) -> DisconnectedGraphError:
     )
 
 
+def _unreached(graph: Graph, level: np.ndarray, lo: int, n: int) -> DisconnectedGraphError | None:
+    """The error for the first source of a ``_bfs`` block that misses a
+    node of its part, and the first such node; None if every cell is reached."""
+    unreached = np.flatnonzero(level < 0)
+    if not unreached.size:
+        return None
+    b, t = divmod(int(unreached[0]), n)
+    return _no_path(graph, lo + b, (lo + b) // n * n + t)
+
+
 def _hop_distance_sums(graph: Graph) -> list[int]:
     """Sum of hop distances from each source to every node."""
     n = graph.n
     sums: list[int] = []
     for lo, hi in _blocks(graph):
-        level = _bfs(graph, lo, hi)[0]
-        unreached = np.flatnonzero(level < 0)
-        if unreached.size:
-            b, t = divmod(int(unreached[0]), n)
-            raise _no_path(graph, lo + b, t)
+        level = _bfs(graph, lo, hi, n)[0]
+        error = _unreached(graph, level, lo, n)
+        if error is not None:
+            raise error
         sums += level.reshape(hi - lo, n).sum(axis=1).tolist()
     return sums
 
@@ -231,38 +272,49 @@ def _closeness(n: int, sums: list) -> np.ndarray:
     return np.array([(n - 1) / float(total) if total else 0.0 for total in sums])
 
 
-def _hop_betweenness(graph: Graph) -> tuple[np.ndarray, list[int] | None]:
-    """Dependencies summed over all sources, and each source's hop-distance sum (None if one misses a node)."""
-    n = graph.n
-    score, sums, reached = np.zeros(n), [], True
-    for lo, hi in _blocks(graph):
-        level, pos, levels = _bfs(graph, lo, hi)
-        reached &= level.min() >= 0
+def _dependencies(graph: Graph, lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level of every cell of a ``_bfs`` block, and its dependency."""
+    level, levels = _bfs(graph, lo, hi, n, paths=True)
+    # deepest level first; a cell's terms come from its successors,
+    # summed in order of their queue position, last first
+    delta_cells = np.zeros(level.size)
+    delta = np.zeros(levels[-1][0].size)
+    for depth in range(len(levels) - 1, 0, -1):
+        cells, sigma, w, v = levels[depth]
+        terms = levels[depth - 1][1][v] / sigma[w] * (1.0 + delta[w])
+        delta_cells[cells] = delta
+        delta = np.bincount(v, weights=terms, minlength=levels[depth - 1][0].size)
+    return level, delta_cells
+
+
+def _hop_betweenness(graph: Graph, k: int = 1):
+    """Dependencies summed over all sources of k stacked graphs of n nodes,
+    as a (k, n) stack; each source's hop-distance sum; and the error of the
+    first source that misses a node of its graph, or None."""
+    n = graph.n // k
+    score, sums, missed = np.zeros((k, n)), [], None
+    for lo, hi in _blocks(graph, k):
+        level, delta_cells = _dependencies(graph, lo, hi, n)
+        missed = missed or _unreached(graph, level, lo, n)
         sums += level.reshape(hi - lo, n).sum(axis=1).tolist()
-        sigma = [np.ones(hi - lo)]
-        for (_, tails, heads, before), (cells, *_) in zip(levels, levels[1:]):
-            new = before < 0
-            sigma.append(np.bincount(pos[heads[new]], weights=sigma[-1][tails[new]], minlength=cells.size))
-        # deepest level first; a cell's terms come from its successors,
-        # summed in order of their queue position, last first
-        delta_cells = np.zeros(level.size)
-        delta = np.zeros(levels[-1][0].size)
-        for depth in range(len(levels) - 1, 0, -1):
-            cells, tails, heads, before = levels[depth]
-            back = np.flatnonzero(before == depth - 1)[::-1]
-            w, v = tails[back], pos[heads[back]]
-            terms = sigma[depth - 1][v] / sigma[depth][w] * (1.0 + delta[w])
-            delta_cells[cells] = delta
-            delta = np.bincount(v, weights=terms, minlength=levels[depth - 1][0].size)
-        for row in delta_cells.reshape(hi - lo, n):  # in source order
-            score += row
-    return score, sums if reached else None
+        # a block is whole graphs, or sources of the one graph: each graph
+        # adds its sources' rows to its score in source order, one at a time
+        rows = delta_cells.reshape(-1, min(hi - lo, n), n)
+        graphs = slice(lo // n, lo // n + len(rows))
+        rows[:, 0] += score[graphs]
+        score[graphs] = np.add.accumulate(rows, axis=1)[:, -1]
+    return score, sums, missed
 
 
-def _hop_paths(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted betweenness and closeness from one search; closeness's raises where a source misses a node."""
-    score, sums = _hop_betweenness(graph)
-    return score / 2.0, _closeness(graph.n, _hop_distance_sums(graph) if sums is None else sums)
+def _hop_paths(graph: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Unweighted betweenness and closeness of k stacked graphs of n nodes
+    each (node v of graph g at g*n + v), as two (k, n) stacks, from one
+    search; the first graph with a source that misses a node raises
+    closeness's error for it."""
+    score, sums, missed = _hop_betweenness(graph, k)
+    if missed is not None:
+        raise missed
+    return score / 2.0, _closeness(graph.n // k, sums).reshape(k, -1)
 
 
 def _dijkstra_betweenness(graph: Graph) -> np.ndarray:
@@ -282,7 +334,7 @@ def betweenness_centrality(graph: Graph, weighted: bool = False) -> CentralityVe
     """Non-normalized shortest-path betweenness via pair-dependency
     accumulation; weighted mode uses arc lengths 1/weight."""
     _require_undirected(graph, "betweenness centrality")
-    score = _dijkstra_betweenness(graph) if weighted else _hop_betweenness(graph)[0]
+    score = _dijkstra_betweenness(graph) if weighted else _hop_betweenness(graph)[0][0]
     # each unordered pair was accumulated from both endpoints
     return _vector(graph, "betweenness", weighted, score / 2.0)
 
@@ -345,13 +397,15 @@ def _power_stack(graph: Graph, k: int, weights: np.ndarray, tol: float = 1e-10, 
     raise ConvergenceError(f"power iteration did not reach tolerance {tol:g}", max_iter)
 
 
-def _triangles(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _triangles(graph: Graph, k: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every stored entry e = (i, j) with every common neighbour q of i and
     j, as the entries e, f = (i, q) and x = (j, q), sorted by (e, f). Each
     entry walks the shorter of its two rows and looks the nodes up in the
     other through the sorted keys ``row * n + col``, in blocks of at most
-    ``_BLOCK_CELLS`` lookups (or of one entry)."""
+    ``_BLOCK_CELLS`` lookups, or ``_STACK_LOOKUPS`` for k > 1 stacked
+    graphs (or of one entry)."""
     n, indptr, indices = graph.n, graph.indptr, graph.indices
+    bound = _STACK_LOOKUPS if k > 1 else _BLOCK_CELLS
     rows = _entry_rows(indptr)
     keys = rows * n + indices
     order, keys = _stable_order(keys, values=True)
@@ -361,7 +415,7 @@ def _triangles(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts = np.concatenate(([0], np.cumsum(degree[walk])))  # of each entry's walk, laid end to end
     parts, lo = [(np.zeros(0, dtype=np.int64),) * 3], 0
     while lo < indices.size:
-        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + _BLOCK_CELLS, "right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + bound, "right")) - 1)
         sizes, walked = _gather(indptr, walk[lo:hi])
         e = np.repeat(np.arange(lo, hi), sizes)
         look = other[e] * n + indices[walked]
@@ -386,14 +440,17 @@ def burt_constraint(graph: Graph, weighted: bool = False) -> CentralityVector:
     """Burt's constraint: sum over neighbors j of (p_ij + sum_q p_iq p_qj)^2,
     with p the proportional tie strength. Isolates score 0 and are flagged."""
     _require_undirected(graph, "constraint")
-    e, f, x = _triangles(graph)
+    return _vector(graph, "constraint", weighted, _constraint(graph, weighted, _triangles(graph)))
+
+
+def _constraint(graph: Graph, weighted: bool, triangles: tuple[np.ndarray, ...]) -> np.ndarray:
+    e, f, x = triangles
     rows = _entry_rows(graph.indptr)
     p = _proportions(graph, weighted, rows)
     p_qj = _proportions(graph, weighted, graph.indices)[x]  # x = (j, q) as a share of q's ties
     # each entry's sum starts at p_ij, then adds its terms in (e, f) order
     local = np.bincount(np.concatenate((np.arange(p.size), e)), weights=np.concatenate((p, p[f] * p_qj)))
-    values = segment_sum(local * local, graph.indptr, rows)
-    return _vector(graph, "constraint", weighted, values)
+    return segment_sum(local * local, graph.indptr, rows)
 
 
 def effective_size(graph: Graph, weighted: bool = False) -> CentralityVector:
@@ -405,19 +462,21 @@ def effective_size(graph: Graph, weighted: bool = False) -> CentralityVector:
     is normalized by the alter's maximum tie strength.
     """
     _require_undirected(graph, "effective size")
-    e, f, x = _triangles(graph)
+    return _vector(graph, "effective-size", weighted, _effective_size(graph, weighted, _triangles(graph)))
+
+
+def _effective_size(graph: Graph, weighted: bool, triangles: tuple[np.ndarray, ...]) -> np.ndarray:
+    e, f, x = triangles
     indptr, weights = graph.indptr, graph.weights
     rows = _entry_rows(indptr)
     if weighted:
         row_max = np.zeros(graph.n)
         np.maximum.at(row_max, rows, weights)
         terms = _proportions(graph, True, rows)[f] * (weights[x] / row_max[rows[x]])
-        values = segment_sum(1.0 - np.bincount(e, weights=terms, minlength=weights.size), indptr, rows)
-    else:
-        degree = np.diff(indptr)
-        ties = np.bincount(rows[e], minlength=graph.n)  # each tie counted from both ends
-        values = degree - ties / np.maximum(degree, 1)  # an isolate scores 0 - 0 / 1
-    return _vector(graph, "effective-size", weighted, values)
+        return segment_sum(1.0 - np.bincount(e, weights=terms, minlength=weights.size), indptr, rows)
+    degree = np.diff(indptr)
+    ties = np.bincount(rows[e], minlength=graph.n)  # each tie counted from both ends
+    return degree - ties / np.maximum(degree, 1)  # an isolate scores 0 - 0 / 1
 
 
 _DISPATCH = dict(zip(BASELINES, (degree_centrality, closeness_centrality, betweenness_centrality,

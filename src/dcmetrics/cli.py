@@ -35,7 +35,6 @@ from .distinctiveness import (
 )
 from .errors import DCMetricsError
 from .graph import Graph, profile
-from .io import ResultTable, _blocks, _csv_cells, parse_edge_list, parse_gexf_minimal, write_edge_list
 
 
 def _deferred(name: str):
@@ -49,7 +48,11 @@ def _deferred(name: str):
 
 
 # the names only some commands call, so that a command loads only the modules
-# it uses; perfbench/tracer.py wraps several of them by their name here
+# it uses (the sweep reads and writes no graph file, so it never loads io);
+# perfbench/tracer.py wraps several of them by their name here
+parse_edge_list = _deferred("parse_edge_list")
+parse_gexf_minimal = _deferred("parse_gexf_minimal")
+write_edge_list = _deferred("write_edge_list")
 baseline = _deferred("baseline")
 builtin_dataset = _deferred("builtin_dataset")
 GeneratorParams = _deferred("GeneratorParams")
@@ -189,6 +192,8 @@ def _cmd_compute(args) -> int:
                                 relaxed_alpha=args.relaxed_alpha))
             for v in vectors
         )
+    from .io import ResultTable
+
     table = ResultTable.from_vectors(list(vectors))  # every vector is scored before the output opens
     _emit(args, table.json_blocks() if args.format == "json" else table.csv_blocks())
     return 0
@@ -210,6 +215,8 @@ def _one_vector(graph: Graph, dc_names, base_names, args, command: str) -> Centr
 
 
 def _cmd_rank(args) -> int:
+    from .io import _blocks, _csv_cells
+
     graph = _load_graph(args)
     dc_names, base_names = _parse_metrics(args.metric)
     if len(dc_names) + len(base_names) != 1:

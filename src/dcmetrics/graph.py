@@ -580,7 +580,8 @@ def _gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarra
     start = indptr[rows]
     sizes = indptr[rows + 1] - start
     at = np.repeat(start - np.cumsum(sizes) + sizes, sizes)
-    return sizes, at + np.arange(at.size)
+    at += np.arange(at.size)
+    return sizes, at
 
 
 def validate(graph: Graph) -> ValidationReport:

@@ -1,11 +1,16 @@
 """Ranking with tie rules, Spearman rank correlation, and the
 correlation-vs-alpha ensemble sweep.
 
-The sweep scores chunks of graphs laid out as one block-diagonal graph. The
-per-node sums, eigenvector's power loop, the ranks and the rho matrices run
-once per chunk, and the DC kernels once per chunk and alpha: d1 and d2 read
-the graphs' common n, and d3 each entry's own graph total. Betweenness and
-closeness share one search per graph."""
+The sweep scores chunks of graphs laid out as one block-diagonal graph, as
+many graphs as keep the chunk within ``_CHUNK_ENTRIES`` stored entries (all
+40 of the gated n=50 ensemble). The per-node sums, eigenvector's power loop
+and constraint's and effective size's one triangle join run once per chunk,
+and the DC kernels once per chunk and alpha: d1 and d2 read the graphs'
+common n, and d3 each entry's own graph total. Betweenness and closeness
+share one search over the stack, run in blocks of whole graphs. The ranks
+and rho matrices run per block of ``_RANK_GRAPHS`` graphs. So the stages
+whose temporaries grow with the chunk stay within blocks of a few graphs,
+and every score keeps the bits it has when its graph is scored alone."""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import numpy as np
 
 # perfbench/tracer.py wraps stats.all_distinctiveness, stats.baseline,
 # stats.barabasi_albert and stats.spearman by name: keep them
-from .baselines import _hop_paths, _power_stack, baseline
+from .baselines import _constraint, _effective_size, _hop_paths, _power_stack, _triangles, baseline
 from .distinctiveness import METRICS, TIE_RULES, CentralityVector, MetricSpec, _scores, all_distinctiveness
 from .generators import GeneratorParams, barabasi_albert
 from .graph import Graph, Record
@@ -44,8 +49,13 @@ SWEEP_BASELINES = (
     ("effective-size", True),
 )
 
-# graphs per block-diagonal graph: more cut the per-call overhead but raise the peak memory
-_CHUNK = 8
+# stored entries per block-diagonal chunk of graphs (at least one graph):
+# 42 graphs of n=50, m_attach=2 (192 entries each). Larger chunks cut the
+# per-call overhead; the stages whose temporaries grow with the chunk run in
+# blocks of their own (the path searches, the triangle join, the ranks)
+_CHUNK_ENTRIES = 1 << 13
+# graphs whose score stacks are ranked, and correlated, at once
+_RANK_GRAPHS = 8
 
 
 class RankVector(Record, eq=False):
@@ -185,7 +195,39 @@ def _block_diagonal(graphs: list[Graph]) -> Graph:
     indptr = np.concatenate([[0]] + [g.indptr[1:] + s for g, s in zip(graphs, starts)])
     indices = np.concatenate([g.indices + i * n for i, g in enumerate(graphs)])
     weights = np.concatenate([g.weights for g in graphs])
-    return Graph(graphs[0].nodes * len(graphs), False, indptr, indices, weights, indptr, indices, weights)
+    nodes = tuple(label for g in graphs for label in g.nodes)
+    return Graph(nodes, False, indptr, indices, weights, indptr, indices, weights)
+
+
+def _score_chunk(params: GeneratorParams, seeds: np.ndarray, alphas: tuple[float, ...],
+                 dc_metrics: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Generate a graph per seed and score them all as one block-diagonal
+    graph: the (graphs, baselines, n) stack of ``SWEEP_BASELINES``, and the
+    (graphs, alphas x DC metrics, n) stack of the DC scores. Every vector
+    scores the nodes in order, so the sweep pairs them by position (what
+    spearman does for equal labels)."""
+    graphs = [barabasi_albert(replace(params, seed=int(s))) for s in seeds]
+    k, n, chunk = len(graphs), params.n, _block_diagonal(graphs)
+    # a disconnected graph fails here, before eigenvector needs it connected
+    between, close = _hop_paths(chunk, k)
+    triangles = _triangles(chunk, k)  # constraint's and effective size's
+    stacked = {("betweenness", False): between, ("closeness", False): close,
+               ("eigenvector", True): _power_stack(chunk, k, chunk.weights),
+               ("constraint", True): _constraint(chunk, True, triangles),
+               ("effective-size", True): _effective_size(chunk, True, triangles)}
+    base = np.stack([(stacked[mw] if mw in stacked else baseline(chunk, *mw).values).reshape(k, n)
+                     for mw in SWEEP_BASELINES], axis=1)
+    del stacked, triangles  # before the DC kernels' peak
+    # the DC kernels score the chunk at once: d1 and d2 read the graphs'
+    # common n, d3 each entry's own graph total
+    totals = np.repeat([g.total_weight() for g in graphs], [g.indices.size for g in graphs])
+    scores = [_scores(chunk, a, "undirected", dc_metrics, n, totals) for a in alphas]
+    dc = np.stack([s[d].reshape(k, n) for s in scores for d in dc_metrics], axis=1)
+    if not np.isfinite(dc).all():  # raise the error of the first graph that fails, as scored alone
+        for graph in graphs:
+            for a in alphas:
+                all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
+    return base, dc
 
 
 def correlation_sweep(
@@ -228,34 +270,20 @@ def correlation_sweep(
     sums = np.zeros((len(pairs), len(keys)))
     overlaps: list[tuple[int, str, str, float, float]] = []
 
-    for lo in range(0, ensemble_size, _CHUNK):
-        graphs = [barabasi_albert(replace(params, seed=int(s))) for s in graph_seeds[lo : lo + _CHUNK]]
-        k, chunk = len(graphs), _block_diagonal(graphs)
-        # a disconnected graph fails here, before eigenvector needs it connected
-        between, close = zip(*map(_hop_paths, graphs))
-        stacked = {("betweenness", False): between, ("closeness", False): close,
-                   ("eigenvector", True): _power_stack(chunk, k, chunk.weights)}
-        # every vector scores the nodes in order, so vectors are paired by
-        # position (what spearman does for equal labels)
-        base = np.stack([stacked[mw] if mw in stacked else baseline(chunk, *mw).values.reshape(k, -1)
-                         for mw in SWEEP_BASELINES], axis=1)
-        # the DC kernels score the chunk at once: d1 and d2 read the graphs'
-        # common n, d3 each entry's own graph total
-        totals = np.repeat([g.total_weight() for g in graphs], [g.indices.size for g in graphs])
-        scores = [_scores(chunk, a, "undirected", dc_metrics, params.n, totals) for a in alphas]
-        dc = np.stack([s[d].reshape(k, -1) for s in scores for d in dc_metrics], axis=1)
-        if not np.isfinite(dc).all():  # raise the error of the first graph that fails, as scored alone
-            for graph in graphs:
-                for a in alphas:
-                    all_distinctiveness(graph, alpha=a, metrics=dc_metrics)
-        dc_ranks = _ranked(dc.reshape(k * len(pairs), -1)).reshape(dc.shape)
-        base_ranks = _ranked(base.reshape(k * len(keys), -1)).reshape(base.shape)
-        rho = _rho_matrix(dc_ranks, base_ranks)
-        for r in rho:  # in graph order
-            sums += r
-        for g, i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
-            a, d = pairs[i]
-            overlaps.append((lo + g, d, keys[j], a, float(rho[g, i, j])))
+    m, n = params.m_attach, params.n
+    size = max(1, _CHUNK_ENTRIES // (2 * m * (n - m)))  # barabasi_albert makes m * (n - m) edges
+    for lo in range(0, ensemble_size, size):
+        base, dc = _score_chunk(params, graph_seeds[lo : lo + size], alphas, dc_metrics)
+        for g0 in range(0, len(dc), _RANK_GRAPHS):
+            part = slice(g0, g0 + _RANK_GRAPHS)
+            dc_ranks = _ranked(dc[part].reshape(-1, n)).reshape(dc[part].shape)
+            base_ranks = _ranked(base[part].reshape(-1, n)).reshape(base[part].shape)
+            rho = _rho_matrix(dc_ranks, base_ranks)
+            for r in rho:  # in graph order
+                sums += r
+            for g, i, j in np.argwhere(np.abs(rho) >= 1.0 - 1e-12).tolist():
+                a, d = pairs[i]
+                overlaps.append((lo + g0 + g, d, keys[j], a, float(rho[g, i, j])))
 
     means = {
         (d, b, a): float(sums[i * len(dc_metrics) + k, j]) / ensemble_size

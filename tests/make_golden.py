@@ -75,6 +75,9 @@ def cases(workdir: Path) -> dict[str, list[str]]:
     runs["generate n=2000"] = ["generate", "--n", "2000", "--m-attach", "3", "--weight-high", "20", "--seed", "5"]
     runs["sweep ensemble=3 seed=2"] = ["sweep", "--ensemble", "3", "--seed", "2", "--svg",
                                        str(workdir / "sweep.svg")]
+    # 50 graphs of n=50: two of the sweep's chunks
+    runs["sweep ensemble=50 alpha=1,2.5,7 seed=8"] = ["sweep", "--ensemble", "50", "--alphas", "1,2.5,7",
+                                                      "--seed", "8"]
     runs["compute seeded-20k alpha=1,2,5"] = ["compute", "--input", str(seeded), "--alpha", "1,2,5"]
     runs["compute d4-path alpha=1,2"] = ["compute", "--input", str(d4_path), "--metrics", "d4", "--alpha", "1,2"]
     return runs

@@ -372,12 +372,86 @@ class TestBreadthFirstBlocks:
         for g in _hop_graphs(path_graphs):
             if sources is not None:
                 monkeypatch.setattr(baselines, "_BLOCK_CELLS", sources * (g.n + g.indices.size))
-            got = _outcome(lambda g: np.concatenate(baselines._hop_paths(g)), g)
+            got = _outcome(lambda g: np.concatenate(baselines._hop_paths(g)).ravel(), g)
             want = _outcome(lambda g: np.concatenate([betweenness_centrality(g).values,
                                                       closeness_centrality(g).values]), g)
             assert got == want
             outcomes.add(type(got) is tuple and got[0])
         assert outcomes == {False, DisconnectedGraphError}
+
+
+def _stack_groups(path_graphs):
+    """The breadth-first shapes and BA n=50 graphs, grouped by node count,
+    plus a 6-node stack whose third graph is disconnected and whose labels
+    differ from graph to graph."""
+    ba = [barabasi_albert(GeneratorParams(n=50, m_attach=m, weight_low=1, weight_high=20, seed=seed))
+          for seed, m in enumerate([1, 2, 2, 3])]
+    groups: dict[int, list] = {}
+    for g in _hop_graphs(path_graphs) + ba:
+        groups.setdefault(g.n, []).append(g)
+    path = lambda tag: build_graph([(f"{tag}{i}", f"{tag}{i + 1}", 1.0) for i in range(5)])
+    split = build_graph([("a", "b", 1), ("b", "c", 2), ("d", "e", 1), ("e", "f", 1), ("f", "d", 1)])
+    return [*groups.values(), [path("p"), path("q"), split, path("r")]]
+
+
+def _each_alone(group, fn):
+    """fn's stacked rows over the graphs scored one by one, or the error of the first that fails."""
+    rows = []
+    for g in group:
+        got = _outcome(fn, g)
+        if type(got) is not list:
+            return got
+        rows.append(got)
+    return rows
+
+
+class TestStackedSearch:
+    """``_hop_paths`` over k stacked graphs of n nodes against
+    ``betweenness_centrality`` and ``closeness_centrality`` on each graph
+    alone, bit for bit, errors included, with search blocks of one graph,
+    of two (cutting a stack of three mid-stack) and of the whole stack."""
+
+    @pytest.mark.parametrize("graphs_per_block", [1, 2, None])
+    def test_matches_each_graph_alone(self, path_graphs, monkeypatch, graphs_per_block):
+        outcomes = set()
+        for group in _stack_groups(path_graphs):
+            k, chunk = len(group), _block_diagonal(group)
+            n = chunk.n // k
+            per_block = k if graphs_per_block is None else graphs_per_block
+            monkeypatch.setattr(baselines, "_STACK_CELLS", per_block * n * (n + chunk.indices.size // k))
+            assert baselines._blocks(chunk, k)[0] == (0, min(per_block, k) * n)
+            got = _outcome(lambda g: np.stack(baselines._hop_paths(g, k), axis=1).reshape(k, -1), chunk)
+            both = lambda g: np.concatenate([betweenness_centrality(g).values, closeness_centrality(g).values])
+            assert got == _each_alone(group, both)
+            outcomes.add((k > 2, type(got) is tuple and got[0]))
+        # stacks of three and more graphs, connected and not
+        assert {(True, False), (True, DisconnectedGraphError)} <= outcomes
+
+    def test_disconnected_member_names_its_own_pair(self, path_graphs):
+        *_, group = _stack_groups(path_graphs)
+        with pytest.raises(DisconnectedGraphError) as alone:
+            closeness_centrality(group[2])
+        with pytest.raises(DisconnectedGraphError) as stacked:
+            baselines._hop_paths(_block_diagonal(group), len(group))
+        assert str(stacked.value) == str(alone.value) == "closeness needs a connected graph: no path from 'a' to 'd'"
+
+    @pytest.mark.parametrize("lookups", [1, 40, None])
+    def test_shared_triangles_match_constraint_and_effective_size(self, path_graphs, monkeypatch, lookups):
+        """Constraint and effective size from one triangle join over the
+        stack, cut into blocks of ``lookups`` (None keeps the module's
+        bound), against ``burt_constraint`` and ``effective_size`` on each
+        graph alone."""
+        if lookups is not None:
+            monkeypatch.setattr(baselines, "_STACK_LOOKUPS", lookups)
+        for group in _stack_groups(path_graphs):
+            k, chunk = len(group), _block_diagonal(group)
+            triangles = baselines._triangles(chunk, k)
+            for weighted in (False, True):
+                got = [baselines._constraint(chunk, weighted, triangles),
+                       baselines._effective_size(chunk, weighted, triangles)]
+                want = [np.concatenate([burt_constraint(g, weighted).values for g in group]),
+                        np.concatenate([effective_size(g, weighted).values for g in group])]
+                assert _bits(got).tolist() == _bits(want).tolist()
 
 
 class TestEigenvectorMatchesReference:

@@ -66,9 +66,11 @@ def test_distinctiveness_is_the_dispatcher():
     assert dcmetrics.distinctiveness(dcmetrics.builtin_dataset("toy-undirected"), "d2")["B"] > 0
 
 
-# what every file ``compute`` runs, loaded by ``import dcmetrics.cli``
-CORE = {"numpy", "dcmetrics.errors", "dcmetrics.graph", "dcmetrics.distinctiveness", "dcmetrics.io"}
-# what such a command never runs, loaded by the first command that does
+# what every command runs, loaded by ``import dcmetrics.cli``
+CORE = {"numpy", "dcmetrics.errors", "dcmetrics.graph", "dcmetrics.distinctiveness"}
+# what reads and writes graph files and tables, loaded by the first command that does
+FILES = {"dcmetrics.io", "dcmetrics.bytereader"}
+# what a file ``compute`` never runs, loaded by the first command that does
 # (dataclasses and copy by the generator's parameters)
 DEFERRED = {"dcmetrics.baselines", "dcmetrics.stats", "dcmetrics.generators", "dcmetrics.svgchart",
             "dcmetrics.datasets", "xml.etree", "json", "dataclasses", "copy"}
@@ -92,19 +94,19 @@ class TestStartup:
     def test_cli_import_loads_the_core_only(self):
         loaded = modules_after("import dcmetrics.cli")
         assert CORE <= loaded
-        assert not loaded & (DEFERRED | {"dcmetrics.bytereader"})
+        assert not loaded & (DEFERRED | FILES)
 
     def test_file_compute_loads_no_other_command_module(self):
         script = f"from dcmetrics.cli import run_cli\nrun_cli(['compute', '--input', {str(FLORENTINE)!r}])"
         loaded = modules_after(script)
-        assert CORE | {"dcmetrics.bytereader"} <= loaded
+        assert CORE | FILES <= loaded
         assert not loaded & DEFERRED
 
     def test_sweep_loads_no_dataset_table(self):
         script = "from dcmetrics.cli import run_cli\nrun_cli(['sweep', '--n', '12', '--ensemble', '2', '--alphas', '1'])"
         loaded = modules_after(script)
         assert {"dcmetrics.generators", "dcmetrics.stats"} <= loaded
-        assert "dcmetrics.datasets" not in loaded
+        assert not loaded & (FILES | {"dcmetrics.datasets"})
 
     def test_distinctiveness_is_the_dispatcher_after_cli_import(self):
         script = "import sys, dcmetrics.cli\nprint(type(dcmetrics.distinctiveness).__name__, file=sys.stderr)"
@@ -120,7 +122,7 @@ class TestStartup:
     def test_from_import_of_the_reader_loads_the_core_and_it(self):
         loaded = modules_after("from dcmetrics import bytereader")
         assert {m for m in loaded if m.startswith("dcmetrics")} == {
-            "dcmetrics", *(m for m in CORE if m.startswith("dcmetrics.")), "dcmetrics.bytereader"}
+            "dcmetrics", *(m for m in CORE if m.startswith("dcmetrics.")), *FILES}
         assert not loaded & DEFERRED
 
     @pytest.mark.parametrize("query, check", [
@@ -133,7 +135,7 @@ class TestStartup:
         answer, loaded = fresh(f"import sys, dcmetrics\nprint(*{query}, file=sys.stderr)\n"
                                "print(*sys.modules, file=sys.stderr)").splitlines()
         assert check(answer.split())
-        assert not set(loaded.split()) & DEFERRED
+        assert not set(loaded.split()) & (DEFERRED | FILES)
 
 
 @pytest.mark.parametrize("name", sorted(dcmetrics._LAZY))

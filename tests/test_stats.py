@@ -13,7 +13,7 @@ from dcmetrics import (
     spearman,
 )
 from dcmetrics import stats
-from dcmetrics.stats import _CHUNK, _rank_array, _ranked, _rho_matrix
+from dcmetrics.stats import _rank_array, _ranked, _rho_matrix
 from naive import (
     naive_correlation_sweep,
     naive_pairwise_spearman,
@@ -228,6 +228,13 @@ class TestRhoMatrix:
 
 
 PARAMS = GeneratorParams(n=30, m_attach=2, weight_low=1, weight_high=20)
+# graphs per chunk in the tests that run several chunks
+CHUNK = 8
+
+
+def chunks_of(monkeypatch, params, graphs):
+    """Bound the sweep's chunks to ``graphs`` graphs of ``params``' size."""
+    monkeypatch.setattr(stats, "_CHUNK_ENTRIES", graphs * 2 * params.m_attach * (params.n - params.m_attach))
 
 
 class TestSweep:
@@ -284,20 +291,28 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{message}$"):
             correlation_sweep(PARAMS, ensemble_size=3, alphas=alphas, dc_metrics=dc_metrics)
 
-    def test_non_finite_d3_fails_as_scored_alone(self):
+    def test_non_finite_d3_fails_as_scored_alone(self, monkeypatch):
         """d3's strength power overflows at alpha 300 on weights up to 20:
         the sweep raises the error all_distinctiveness raises on that graph,
-        with no RuntimeWarning."""
-        with pytest.raises(ValueError, match=r"^d3 of node '0' overflows float64 at alpha=300 \(undirected\)$"):
-            correlation_sweep(PARAMS, ensemble_size=_CHUNK + 1, alphas=(1.0, 300.0), seed=3)
+        with no RuntimeWarning, in the one chunk the module's bound makes of
+        the ensemble and in chunks of ``CHUNK`` graphs."""
+        for chunk in (None, CHUNK):
+            if chunk is not None:
+                chunks_of(monkeypatch, PARAMS, chunk)
+            with pytest.raises(ValueError, match=r"^d3 of node '0' overflows float64 at alpha=300 \(undirected\)$"):
+                correlation_sweep(PARAMS, ensemble_size=CHUNK + 1, alphas=(1.0, 300.0), seed=3)
 
-    def test_matches_per_pair_reference(self):
-        """Chunks of graphs scored at once, with rank stacks per chunk and one
-        rho matrix per graph, over the breadth-first path baselines, give the
-        sweep of per-pair ranking over the one-source loops (tests/naive.py),
-        bit for bit, at ensemble sizes below, at and past the chunk size."""
+    def test_matches_per_pair_reference(self, monkeypatch):
+        """Chunks of graphs scored at once, with rank stacks per block of a
+        chunk (3 graphs, so blocks cut the chunks) and one rho matrix per
+        graph, over the stacked breadth-first path baselines, give the sweep
+        of per-pair ranking over the one-source loops (tests/naive.py), bit
+        for bit, at ensemble sizes below, at and past the chunk size, over up
+        to three chunks."""
         params = GeneratorParams(n=50, m_attach=2, weight_low=1, weight_high=20)
-        for seed, size in enumerate([3, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]):
+        chunks_of(monkeypatch, params, CHUNK)
+        monkeypatch.setattr(stats, "_RANK_GRAPHS", 3)
+        for seed, size in enumerate([3, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]):
             got = correlation_sweep(params, ensemble_size=size, alphas=(1.0, 2.0, 5.0), seed=seed)
             means, overlaps = naive_correlation_sweep(params, size, (1.0, 2.0, 5.0), seed=seed)
             assert list(got.means) == list(means)
